@@ -1,7 +1,6 @@
 // Command dsctl is a small client for the live DynaSoRe cluster: it writes
 // events, reads feeds, dumps broker statistics, and administers the
-// elastic cache-server membership, speaking the multiplexed wire protocol
-// v2 via pkg/dynasore.
+// elastic cache-server membership through the pkg/dynasore network client.
 //
 // Usage:
 //
@@ -228,7 +227,7 @@ func runTrace(ctx context.Context, cfg cliConfig, args []string) error {
 	}
 	recs := telemetry.Default().Traces(4)
 	if len(recs) == 0 {
-		return fmt.Errorf("no client span recorded; is the broker speaking protocol v3?")
+		return fmt.Errorf("no client span recorded")
 	}
 	traceID := recs[0].TraceID
 	for _, r := range recs {

@@ -4,7 +4,7 @@
 // user's followees, interleaved with Write(u) posts — and reports
 // end-to-end throughput and latency as Go-benchmark lines on stdout, so
 // `cmd/benchjson` can turn a run into a machine-readable artifact (CI
-// archives one as BENCH_PR5.json).
+// archives one as BENCH_GATED.json).
 //
 // Usage:
 //
@@ -233,8 +233,6 @@ func run(o options, stdout, stderr io.Writer) error {
 		direct    = o.direct
 	)
 	ctx := context.Background()
-	// The direct fast path lives on the cluster client only, so -direct
-	// dials DialCluster even against a single (or selfhosted) broker.
 	var opts []dynasore.DialOption
 	if direct {
 		opts = append(opts, dynasore.WithDirectReads(0))
@@ -254,16 +252,7 @@ func run(o options, stdout, stderr io.Writer) error {
 		// Load the engine over the real network client, so the measured
 		// path includes framing, multiplexing, and the broker's serve
 		// loop — not just in-process calls.
-		if direct {
-			c, err := dynasore.DialCluster(ctx, []string{e.Addr()}, opts...)
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			store = c
-			break
-		}
-		c, err := dynasore.Dial(ctx, e.Addr())
+		c, err := dynasore.Dial(ctx, e.Addr(), opts...)
 		if err != nil {
 			return err
 		}

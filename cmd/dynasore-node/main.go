@@ -1,9 +1,11 @@
 // Command dynasore-node runs one node of the live DynaSoRe cluster: either
 // a cache server holding views in memory, or a broker executing the
 // Read/Write API against a set of cache servers with a WAL-backed
-// persistent store. Both roles serve wire protocol v1 and the multiplexed
-// v2 of pkg/dynasore. Brokers drive replica placement with the shared
-// DynaSoRe policy engine over the configured cluster topology.
+// persistent store. Both roles speak the one wire dialect of pkg/dynasore:
+// clients multiplex requests over muxed connections, brokers reach cache
+// servers and peer brokers over pooled plain-framed ones. Brokers drive
+// replica placement with the shared DynaSoRe policy engine over the
+// configured cluster topology.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Quickstart: the public pkg/dynasore API in ~60 lines. Open an in-process
 // DynaSoRe cluster (the Engine backend), publish and read feeds through the
 // paper's Read(u, L)/Write(u) interface (§3.1), then connect a network
-// Client speaking the multiplexed wire protocol v2 to the same broker —
-// both backends behind the one Store interface.
+// Client that multiplexes requests over TCP to the same broker — both
+// backends behind the one Store interface.
 //
 // For the paper's simulation experiments (traffic vs. static placements),
 // see cmd/dynasore-sim and examples/flashcrowd.
@@ -52,7 +52,7 @@ func run() error {
 	fmt.Println("feed read through the in-process Engine:")
 	printFeed([]uint32{1, 2, 3}, views)
 
-	// The same cluster over TCP: Dial negotiates protocol v2, so many
+	// The same cluster over TCP: every request carries an ID, so many
 	// requests multiplex concurrently over each pooled connection.
 	client, err := dynasore.Dial(ctx, engine.Addr())
 	if err != nil {
@@ -63,7 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("feed read through the v2 network Client (broker %s):\n", engine.Addr())
+	fmt.Printf("feed read through the network Client (broker %s):\n", engine.Addr())
 	printFeed([]uint32{1, 2, 3}, views)
 
 	st, err := client.Stats(ctx)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,8 +24,35 @@ func userHomedOn(t *testing.T, b *Broker, idx int) uint32 {
 	return 0
 }
 
+// dialClient connects a one-connection Client to addr for the test's
+// lifetime.
+func dialClient(t testing.TB, addr string) *Client {
+	t.Helper()
+	c, err := DialClient(context.Background(), addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// testClient adapts Client to the context-free calls most tests make.
+type testClient struct{ *Client }
+
+func (c testClient) Write(user uint32, payload []byte) (uint64, error) {
+	return c.Client.Write(context.Background(), user, payload)
+}
+
+func (c testClient) Read(targets []uint32) ([]View, error) {
+	return c.Client.Read(context.Background(), targets)
+}
+
+func (c testClient) Stats() (BrokerStats, error) {
+	return c.Client.Stats(context.Background())
+}
+
 // testCluster spins up n cache servers and one broker on ephemeral ports.
-func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Server, *Client) {
+func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Server, testClient) {
 	t.Helper()
 	var servers []*Server
 	var addrs []string
@@ -51,12 +79,7 @@ func testCluster(t *testing.T, n int, tweak func(*BrokerConfig)) (*Broker, []*Se
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	c, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return b, servers, c
+	return b, servers, testClient{dialClient(t, b.Addr())}
 }
 
 func TestWriteThenRead(t *testing.T) {
@@ -325,12 +348,13 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(b.Addr())
+			cl, err := DialClient(context.Background(), b.Addr(), 1)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer cl.Close()
+			c := testClient{cl}
 			for i := 0; i < opsEach; i++ {
 				u := uint32(w*opsEach + i)
 				if _, err := c.Write(u, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {

@@ -469,20 +469,8 @@ func (b *Broker) broadcastPlacementBatch(users []uint32) {
 // the recovered peer compares per-origin cursors and pulls exactly the
 // records it missed, without waiting for new user writes.
 func (b *Broker) broadcastSyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) {
-	body := encodeSyncWrite(user, seq, at, payload)
-	var tracedBody []byte
-	if tc.Sampled() {
-		tracedBody = encodeSyncWriteTraced(user, seq, at, payload, tc)
-	}
+	body := encodeSyncWrite(user, seq, at, payload, tc)
 	b.broadcast(true, func(p *peerState) {
-		if tracedBody != nil {
-			// A peer that predates tracing answers respError on the unknown
-			// op; the plain frame below replicates the write regardless, so
-			// a sampled write loses at worst its trace, never durability.
-			if respType, _, err := p.conn.roundTrip(opSyncWriteTraced, tracedBody); err == nil && respType == respOK {
-				return
-			}
-		}
 		_, _, _ = p.conn.roundTrip(opSyncWrite, body)
 	})
 }

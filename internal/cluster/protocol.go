@@ -6,14 +6,18 @@
 // the drop-in-for-memcache prototype the paper describes, sized to run on a
 // single machine with one process per node.
 //
-// Two wire protocol versions coexist on every listener. Version 1 frames
-// are uint32(length) | uint8(type) | body and carry one request per
-// connection at a time. Version 2 is negotiated by an opHello handshake and
-// adds a uint64 request ID to every frame, so many requests multiplex
-// concurrently over one connection; it also widens the read target count
-// from uint16 to uint32. New code should use the public pkg/dynasore
-// package, whose network client speaks version 2; the in-package Client
-// remains the serialized version-1 client for compatibility.
+// Every listener speaks one wire dialect, version 3, in one of two
+// framings. Plain frames are uint32(length) | uint8(type) | body and carry
+// one request per connection at a time. A connection whose first frame is
+// an opHello offering version 3 switches both directions to muxed frames,
+// uint32(length) | uint8(type) | uint64(requestID) | body, so many requests
+// run concurrently over it; Client (and so pkg/dynasore) always uses
+// them. Brokers keep plain framing on the links they pool themselves —
+// broker→cache server and broker→broker — because the fan-out is where
+// the frames are: the perfbench feed-broker workload measures 62.8
+// broker→server frames per read, so a request ID on each would add about
+// 450 B to an op that moves 9,621 B today (+5%). The framing is the only
+// difference: every op has one body layout on both.
 package cluster
 
 import (
@@ -31,7 +35,7 @@ import (
 	"dynasore/internal/wal"
 )
 
-// Message types of the wire protocol, shared by both versions. Values are
+// Message types of the wire protocol, shared by both framings. Values are
 // part of the wire format: append, never reorder.
 const (
 	// Broker <-> cache server.
@@ -51,7 +55,7 @@ const (
 	respWrite
 	respStats
 	respError
-	// Protocol negotiation (v2+).
+	// Handshake that switches a connection to muxed framing.
 	opHello
 	respHello
 	// Broker <-> broker placement sync (multi-broker clusters): liveness
@@ -112,37 +116,23 @@ const (
 	// write reaches its origin broker's store before the ack, so the max
 	// over live peers' answers is a floor no cache fill may go below.
 	opViewPull
-
-	// opSyncWriteTraced is opSyncWrite re-framed with an explicit payload
-	// length so a trace context can ride behind the event: the replication
-	// fan-out uses it for sampled writes (and only those), so a trace a
-	// client minted is visible on every peer broker the write touched.
-	// Peers that predate tracing reject the unknown op; the sender falls
-	// back to plain opSyncWrite and the write still replicates.
-	opSyncWriteTraced
 )
 
-// Protocol versions.
-const (
-	protoV1 = 1
-	protoV2 = 2
-	// protoV3 keeps v2's framing and widths but makes every opRead and
-	// opWrite body end in a mandatory 17-byte trace context (see
-	// internal/telemetry), zero-valued when the request is unsampled.
-	// Negotiation picks min(offered, protoV3), so a v3 client downgrades
-	// cleanly against a v2 broker and vice versa.
-	protoV3 = 3
-)
+// wireVersion is the one protocol version every node speaks, offered in
+// the opHello body and echoed by the reply. Its opRead and opWrite bodies
+// end in a mandatory 17-byte trace context (see internal/telemetry),
+// zero-valued when the request is unsampled. Any other offer is refused.
+const wireVersion = 3
 
 const (
 	maxFrame    = 16 << 20 // 16 MiB
 	maxEventLen = 1 << 20
-	// maxInflight caps concurrently executing requests per v2 connection.
+	// maxInflight caps concurrently executing requests per muxed connection.
 	maxInflight = 64
 )
 
-// helloMagic opens every opHello body, so a v2 handshake is never confused
-// with a stray v1 request.
+// helloMagic opens every opHello body, so a handshake is never confused
+// with a stray plain-framed request.
 var helloMagic = [4]byte{'D', 'S', 'R', 'E'}
 
 // Errors returned by protocol helpers and clients.
@@ -154,7 +144,7 @@ var (
 	ErrBadVersion     = errors.New("cluster: unsupported protocol version")
 )
 
-// writeFrame sends one v1 framed message.
+// writeFrame sends one plain frame: uint32(length) | uint8(type) | body.
 func writeFrame(w io.Writer, msgType uint8, body []byte) error {
 	if len(body)+1 > maxFrame {
 		return ErrFrameTooLarge
@@ -169,7 +159,7 @@ func writeFrame(w io.Writer, msgType uint8, body []byte) error {
 	return err
 }
 
-// readFrame receives one v1 framed message.
+// readFrame receives one plain frame.
 func readFrame(r io.Reader) (uint8, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -186,9 +176,9 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	return hdr[4], body, nil
 }
 
-// writeFrameV2 sends one v2 framed message:
+// writeMuxFrame sends one muxed frame:
 // uint32(length) | uint8(type) | uint64(requestID) | body.
-func writeFrameV2(w io.Writer, msgType uint8, id uint64, body []byte) error {
+func writeMuxFrame(w io.Writer, msgType uint8, id uint64, body []byte) error {
 	if len(body)+9 > maxFrame {
 		return ErrFrameTooLarge
 	}
@@ -203,8 +193,8 @@ func writeFrameV2(w io.Writer, msgType uint8, id uint64, body []byte) error {
 	return err
 }
 
-// readFrameV2 receives one v2 framed message.
-func readFrameV2(r io.Reader) (uint8, uint64, []byte, error) {
+// readMuxFrame receives one muxed frame.
+func readMuxFrame(r io.Reader) (uint8, uint64, []byte, error) {
 	var hdr [13]byte
 	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
 		return 0, 0, nil, err
@@ -224,80 +214,73 @@ func readFrameV2(r io.Reader) (uint8, uint64, []byte, error) {
 	return hdr[4], id, body, nil
 }
 
-// helloBody builds the opHello payload offering up to maxVersion.
-func helloBody(maxVersion uint8) []byte {
-	return append(helloMagic[:], maxVersion)
+// helloBody builds an opHello payload offering version.
+func helloBody(version uint8) []byte {
+	return append(helloMagic[:], version)
 }
 
-// parseHello validates an opHello body and picks the version to speak:
-// the highest both sides support, i.e. min(offered, protoV3).
-func parseHello(body []byte) (uint8, error) {
-	if len(body) < 5 || [4]byte(body[0:4]) != helloMagic {
-		return 0, ErrBadFrame
+// parseHello validates an opHello body: the magic followed by an offer of
+// exactly wireVersion.
+func parseHello(body []byte) error {
+	if len(body) != 5 || [4]byte(body[0:4]) != helloMagic {
+		return ErrBadFrame
 	}
-	offered := body[4]
-	if offered < protoV2 {
-		return 0, ErrBadVersion
+	if body[4] != wireVersion {
+		return ErrBadVersion
 	}
-	if offered > protoV3 {
-		return protoV3, nil
-	}
-	return offered, nil
+	return nil
 }
 
-// clientHello negotiates the protocol version on a fresh connection and
-// returns what the server picked (protoV2 or protoV3). The handshake
-// itself uses v1 framing; every later frame on the connection uses v2
-// framing (v3 changes request bodies, not frames).
-func clientHello(conn net.Conn) (int, error) {
-	if err := writeFrame(conn, opHello, helloBody(protoV3)); err != nil {
-		return 0, fmt.Errorf("cluster: send hello: %w", err)
+// clientHello switches a fresh connection to muxed framing. The handshake
+// itself is plain-framed; every later frame on the connection is muxed.
+func clientHello(conn net.Conn) error {
+	if err := writeFrame(conn, opHello, helloBody(wireVersion)); err != nil {
+		return fmt.Errorf("cluster: send hello: %w", err)
 	}
 	msgType, body, err := readFrame(conn)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: read hello reply: %w", err)
+		return fmt.Errorf("cluster: read hello reply: %w", err)
 	}
 	switch msgType {
 	case respHello:
-		if len(body) < 1 || body[0] < protoV2 || body[0] > protoV3 {
-			return 0, ErrBadVersion
+		if len(body) != 1 || body[0] != wireVersion {
+			return ErrBadVersion
 		}
-		return int(body[0]), nil
+		return nil
 	case respError:
-		return 0, asRemoteError(body)
+		return asRemoteError(body)
 	default:
-		return 0, ErrBadVersion
+		return ErrBadVersion
 	}
 }
 
 // handlerFunc executes one request and returns the response frame. It must
-// be safe for concurrent use: v2 connections dispatch requests in parallel.
-type handlerFunc func(version int, msgType uint8, body []byte) (uint8, []byte)
+// be safe for concurrent use: muxed connections dispatch requests in
+// parallel.
+type handlerFunc func(msgType uint8, body []byte) (uint8, []byte)
 
-// serveFrames drives one accepted connection in either protocol version.
-// A first frame of opHello upgrades the connection to v2, where each
-// request is handled in its own goroutine and responses are matched to
-// callers by request ID; any other first frame selects the serialized v1
-// loop, byte-for-byte compatible with older clients.
+// serveFrames drives one accepted connection. A first frame of opHello
+// switches it to muxed framing, where each request is handled in its own
+// goroutine and responses are matched to callers by request ID; any other
+// first frame selects the plain loop, one request at a time.
 func serveFrames(conn net.Conn, handle handlerFunc) {
 	msgType, body, err := readFrame(conn)
 	if err != nil {
 		return
 	}
 	if msgType == opHello {
-		version, err := parseHello(body)
-		if err != nil {
+		if err := parseHello(body); err != nil {
 			writeFrame(conn, respError, errorBody(err.Error()))
 			return
 		}
-		if err := writeFrame(conn, respHello, []byte{version}); err != nil {
+		if err := writeFrame(conn, respHello, []byte{wireVersion}); err != nil {
 			return
 		}
-		serveV2(conn, int(version), handle)
+		serveMux(conn, handle)
 		return
 	}
 	for {
-		respType, respBody := handle(protoV1, msgType, body)
+		respType, respBody := handle(msgType, body)
 		if err := writeFrame(conn, respType, respBody); err != nil {
 			return
 		}
@@ -308,12 +291,10 @@ func serveFrames(conn net.Conn, handle handlerFunc) {
 	}
 }
 
-// serveV2 runs the multiplexed loop for a negotiated v2+ connection:
-// requests are dispatched concurrently (bounded by maxInflight) and
-// responses serialized by a write mutex, each tagged with the ID of the
-// request it answers. The negotiated version reaches every handler so v3
-// connections can strip the mandatory trace suffix.
-func serveV2(conn net.Conn, version int, handle handlerFunc) {
+// serveMux runs the loop of a muxed connection: requests are dispatched
+// concurrently (bounded by maxInflight) and responses serialized by a
+// write mutex, each tagged with the ID of the request it answers.
+func serveMux(conn net.Conn, handle handlerFunc) {
 	var (
 		//dynalint:allow lockio the response mutex exists to keep concurrent handler replies from interleaving on the socket
 		wmu sync.Mutex
@@ -321,7 +302,7 @@ func serveV2(conn net.Conn, version int, handle handlerFunc) {
 		sem = make(chan struct{}, maxInflight)
 	)
 	for {
-		msgType, id, body, err := readFrameV2(conn)
+		msgType, id, body, err := readMuxFrame(conn)
 		if err != nil {
 			break
 		}
@@ -330,9 +311,9 @@ func serveV2(conn net.Conn, version int, handle handlerFunc) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			respType, respBody := handle(version, msgType, body)
+			respType, respBody := handle(msgType, body)
 			wmu.Lock()
-			err := writeFrameV2(conn, respType, id, respBody)
+			err := writeMuxFrame(conn, respType, id, respBody)
 			wmu.Unlock()
 			if err != nil {
 				conn.Close() // unblocks the read loop
@@ -342,104 +323,76 @@ func serveV2(conn net.Conn, version int, handle handlerFunc) {
 	wg.Wait()
 }
 
-// encodeReadRequest builds an opRead body. v1 carries a uint16 target
-// count; v2 widens it to uint32.
-func encodeReadRequest(version int, targets []uint32) ([]byte, error) {
-	if version == protoV1 && len(targets) > 0xFFFF {
-		return nil, fmt.Errorf("%w: %d > 65535 (protocol v1)", ErrTooManyTargets, len(targets))
-	}
-	var body []byte
-	if version == protoV1 {
-		body = binary.LittleEndian.AppendUint16(nil, uint16(len(targets)))
-	} else {
-		body = binary.LittleEndian.AppendUint32(nil, uint32(len(targets)))
-	}
-	if len(body)+4*len(targets)+9 > maxFrame {
+// encodeReadRequest builds an opRead body, before its trace suffix:
+// uint32(count) | count × uint32(user).
+func encodeReadRequest(targets []uint32) ([]byte, error) {
+	if 4+4*len(targets)+telemetry.TraceContextLen+9 > maxFrame {
 		return nil, fmt.Errorf("%w: %d targets exceed frame limit", ErrTooManyTargets, len(targets))
 	}
+	body := make([]byte, 0, 4+4*len(targets)+telemetry.TraceContextLen)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(targets)))
 	for _, u := range targets {
 		body = binary.LittleEndian.AppendUint32(body, u)
 	}
 	return body, nil
 }
 
-// decodeReadRequest parses an opRead body. The count is validated against
-// what the body can actually hold before any allocation, in 64-bit
-// arithmetic, so a hostile count can neither overallocate nor overflow
-// int on 32-bit platforms.
-func decodeReadRequest(version int, body []byte) ([]uint32, error) {
-	var count64 int64
-	var off int
-	if version == protoV1 {
-		if len(body) < 2 {
-			return nil, ErrBadFrame
-		}
-		count64, off = int64(binary.LittleEndian.Uint16(body[0:2])), 2
-	} else {
-		if len(body) < 4 {
-			return nil, ErrBadFrame
-		}
-		count64, off = int64(binary.LittleEndian.Uint32(body[0:4])), 4
-	}
-	if count64 > int64((len(body)-off)/4) {
+// decodeReadRequest parses an opRead body with its trace suffix already
+// split off. The count must account for every remaining byte; it is
+// checked in 64-bit arithmetic before any allocation, so a hostile count
+// can neither overallocate nor overflow int on 32-bit platforms.
+func decodeReadRequest(body []byte) ([]uint32, error) {
+	if len(body) < 4 {
 		return nil, ErrBadFrame
 	}
-	count := int(count64)
-	targets := make([]uint32, count)
+	count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
+	if 4*count64 != int64(len(body)-4) {
+		return nil, ErrBadFrame
+	}
+	targets := make([]uint32, count64)
 	for i := range targets {
-		targets[i] = binary.LittleEndian.Uint32(body[off+4*i:])
+		targets[i] = binary.LittleEndian.Uint32(body[4+4*i:])
 	}
 	return targets, nil
 }
 
-// encodeReadResponse builds a respRead body with the version's count width.
-func encodeReadResponse(version int, views []View) []byte {
-	var out []byte
-	if version == protoV1 {
-		out = binary.LittleEndian.AppendUint16(nil, uint16(len(views)))
-	} else {
-		out = binary.LittleEndian.AppendUint32(nil, uint32(len(views)))
-	}
+// encodeReadResponse builds a respRead body: uint32(count) | count views |
+// uint64(epoch), the responder's membership epoch, which lets a client
+// notice a membership change without an extra round trip.
+func encodeReadResponse(views []View, epoch uint64) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(views)))
 	for _, v := range views {
 		out = encodeView(out, v)
 	}
-	return out
+	return binary.LittleEndian.AppendUint64(out, epoch)
 }
 
-// decodeReadResponse parses a respRead body. The returned remainder holds
-// whatever follows the encoded views — in particular the membership epoch
-// trailer newer brokers append (see decodeEpochTrailer).
-func decodeReadResponse(version int, body []byte) ([]View, []byte, error) {
-	var count int
-	var rest []byte
-	if version == protoV1 {
-		if len(body) < 2 {
-			return nil, nil, ErrBadFrame
-		}
-		count, rest = int(binary.LittleEndian.Uint16(body[0:2])), body[2:]
-	} else {
-		if len(body) < 4 {
-			return nil, nil, ErrBadFrame
-		}
-		count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
-		// An encoded view is at least 10 bytes, so a count the body cannot
-		// hold is malformed — reject before trusting it for allocation.
-		if count64 > int64(len(body)-4)/10 {
-			return nil, nil, ErrBadFrame
-		}
-		count, rest = int(count64), body[4:]
+// decodeReadResponse parses a respRead body.
+func decodeReadResponse(body []byte) ([]View, uint64, error) {
+	if len(body) < 4 {
+		return nil, 0, ErrBadFrame
 	}
-	views := make([]View, 0, count)
-	for i := 0; i < count; i++ {
+	count64 := int64(binary.LittleEndian.Uint32(body[0:4]))
+	// An encoded view is at least 10 bytes, so a count the body cannot
+	// hold is malformed — reject before trusting it for allocation.
+	if count64 > int64(len(body)-4)/10 {
+		return nil, 0, ErrBadFrame
+	}
+	rest := body[4:]
+	views := make([]View, 0, count64)
+	for i := int64(0); i < count64; i++ {
 		var v View
 		var err error
 		v, rest, err = decodeView(rest)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		views = append(views, v)
 	}
-	return views, rest, nil
+	if len(rest) != 8 {
+		return nil, 0, ErrBadFrame
+	}
+	return views, binary.LittleEndian.Uint64(rest), nil
 }
 
 // View is a producer-pivoted view: the user's latest events, oldest first,
@@ -652,11 +605,10 @@ func decodeAccessReport(body []byte) (sender uint32, reads []reportRead, writes 
 	return sender, reads, writes, nil
 }
 
-// splitTraceSuffix separates the mandatory 17-byte trace context a v3
-// peer appends to every opRead and opWrite body from the structured
-// payload ahead of it. The context is zero-valued (unsampled) on the
-// overwhelming majority of requests; a body too short to carry the
-// suffix is malformed.
+// splitTraceSuffix separates the mandatory 17-byte trace context that
+// ends every opRead and opWrite body from the structured payload ahead of
+// it. The context is zero-valued (unsampled) on the overwhelming majority
+// of requests; a body too short to carry the suffix is malformed.
 func splitTraceSuffix(body []byte) ([]byte, telemetry.TraceContext, error) {
 	if len(body) < telemetry.TraceContextLen {
 		return nil, telemetry.TraceContext{}, ErrBadFrame
@@ -666,25 +618,50 @@ func splitTraceSuffix(body []byte) ([]byte, telemetry.TraceContext, error) {
 	return body[:cut], tc, nil
 }
 
-// encodeSyncWriteTraced builds an opSyncWriteTraced body: the opSyncWrite
-// fields re-framed with an explicit payload length so a trace context can
-// ride behind the event:
+// appendTraceTrailer appends the optional trace context that ends the
+// broker-sent opGetView, opPutView and opSyncWrite bodies: present only
+// when tc is sampled, so unsampled requests carry no trace bytes.
+func appendTraceTrailer(b []byte, tc telemetry.TraceContext) []byte {
+	if !tc.Sampled() {
+		return b
+	}
+	return telemetry.AppendTraceContext(b, tc)
+}
+
+// decodeTraceTrailer parses what follows a body's structured payload:
+// nothing (unsampled) or exactly one trace context.
+func decodeTraceTrailer(rest []byte) (telemetry.TraceContext, error) {
+	switch len(rest) {
+	case 0:
+		return telemetry.TraceContext{}, nil
+	case telemetry.TraceContextLen:
+		tc, _ := telemetry.DecodeTraceContext(rest)
+		return tc, nil
+	default:
+		return telemetry.TraceContext{}, ErrBadFrame
+	}
+}
+
+// encodeSyncWrite builds an opSyncWrite body: one durably sequenced event
+// being replicated to a peer broker's write-ahead log, with the trace
+// trailer of a sampled write so the trace a client minted shows every
+// peer broker the write touched:
 // uint32(user) | uint64(seq) | uint64(at) | uint32(plen) | payload | trace.
-func encodeSyncWriteTraced(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) []byte {
+func encodeSyncWrite(user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext) []byte {
 	buf := make([]byte, 0, 24+len(payload)+telemetry.TraceContextLen)
 	buf = binary.LittleEndian.AppendUint32(buf, user)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
-	return telemetry.AppendTraceContext(buf, tc)
+	return appendTraceTrailer(buf, tc)
 }
 
-// decodeSyncWriteTraced parses an opSyncWriteTraced body. The payload
-// aliases the frame buffer; callers that retain it must copy.
-func decodeSyncWriteTraced(body []byte) (user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext, err error) {
+// decodeSyncWrite parses an opSyncWrite body. The payload aliases the
+// frame buffer; callers that retain it must copy.
+func decodeSyncWrite(body []byte) (user uint32, seq uint64, at int64, payload []byte, tc telemetry.TraceContext, err error) {
 	if len(body) < 24 {
-		return 0, 0, 0, nil, telemetry.TraceContext{}, ErrBadFrame
+		return 0, 0, 0, nil, tc, ErrBadFrame
 	}
 	user = binary.LittleEndian.Uint32(body[0:4])
 	seq = binary.LittleEndian.Uint64(body[4:12])
@@ -692,34 +669,12 @@ func decodeSyncWriteTraced(body []byte) (user uint32, seq uint64, at int64, payl
 	plen := binary.LittleEndian.Uint32(body[20:24])
 	rest := body[24:]
 	if plen > maxEventLen || int64(plen) > int64(len(rest)) {
-		return 0, 0, 0, nil, telemetry.TraceContext{}, ErrBadFrame
+		return 0, 0, 0, nil, tc, ErrBadFrame
 	}
-	payload = rest[:plen]
-	tc, _ = telemetry.DecodeTraceContext(rest[plen:])
-	return user, seq, at, payload, tc, nil
-}
-
-// encodeSyncWrite builds an opSyncWrite body: one durably sequenced event
-// being replicated to a peer broker's write-ahead log:
-// uint32(user) | uint64(seq) | uint64(at) | payload.
-func encodeSyncWrite(user uint32, seq uint64, at int64, payload []byte) []byte {
-	buf := make([]byte, 0, 20+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, user)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
-	return append(buf, payload...)
-}
-
-// decodeSyncWrite parses an opSyncWrite body. The payload aliases the frame
-// buffer; callers that retain it must copy.
-func decodeSyncWrite(body []byte) (user uint32, seq uint64, at int64, payload []byte, err error) {
-	if len(body) < 20 {
-		return 0, 0, 0, nil, ErrBadFrame
+	if tc, err = decodeTraceTrailer(rest[plen:]); err != nil {
+		return 0, 0, 0, nil, tc, err
 	}
-	user = binary.LittleEndian.Uint32(body[0:4])
-	seq = binary.LittleEndian.Uint64(body[4:12])
-	at = int64(binary.LittleEndian.Uint64(body[12:20]))
-	return user, seq, at, body[20:], nil
+	return user, seq, at, rest[:plen], tc, nil
 }
 
 // encodeLogCursors builds a respLogCursors body: the responder's
@@ -858,40 +813,54 @@ func encodeMembershipInfo(info MembershipInfo) []byte {
 	return buf
 }
 
-// decodeMembershipInfo parses a respMembership body. Loads are optional on
-// the wire (older or minimal encoders may omit them); when present they
-// must cover every slot.
+// decodeMembershipInfo parses a respMembership body; the loads must cover
+// every slot exactly.
 func decodeMembershipInfo(body []byte) (MembershipInfo, error) {
 	v, rest, err := membership.DecodeView(body)
 	if err != nil {
 		return MembershipInfo{}, err
 	}
-	info := MembershipInfo{View: v}
-	if len(rest) >= 8*len(v.Servers) {
-		info.Loads = make([]int64, len(v.Servers))
-		for i := range info.Loads {
-			info.Loads[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
+	if len(rest) != 8*len(v.Servers) {
+		return MembershipInfo{}, ErrBadFrame
+	}
+	info := MembershipInfo{View: v, Loads: make([]int64, len(v.Servers))}
+	for i := range info.Loads {
+		info.Loads[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
 	}
 	return info, nil
 }
 
-// appendEpochTrailer appends the responder's membership epoch to a
-// respRead or respWrite body. Both decoders stop at their structured
-// payload, so the trailer is invisible to clients that predate elastic
-// membership; newer clients use it to notice a membership change
-// without an extra round trip.
-func appendEpochTrailer(body []byte, epoch uint64) []byte {
-	return binary.LittleEndian.AppendUint64(body, epoch)
+// encodeWriteResponse builds a respWrite body: the event's sequence number
+// and the responder's membership epoch — uint64(seq) | uint64(epoch).
+func encodeWriteResponse(seq, epoch uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, seq)
+	return binary.LittleEndian.AppendUint64(b, epoch)
 }
 
-// decodeEpochTrailer reads a trailing membership epoch, or 0 when the
-// responder did not send one.
-func decodeEpochTrailer(rest []byte) uint64 {
-	if len(rest) < 8 {
-		return 0
+// decodeWriteResponse parses a respWrite body.
+func decodeWriteResponse(b []byte) (seq, epoch uint64, err error) {
+	if len(b) != 16 {
+		return 0, 0, ErrBadFrame
 	}
-	return binary.LittleEndian.Uint64(rest[len(rest)-8:])
+	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), nil
+}
+
+// encodeDirectView builds the respView answer to an opDirectGet: the view
+// followed by the server's membership epoch, uint64(epoch).
+func encodeDirectView(v View, epoch uint64) []byte {
+	return binary.LittleEndian.AppendUint64(encodeView(nil, v), epoch)
+}
+
+// decodeDirectView parses the respView answer to an opDirectGet.
+func decodeDirectView(b []byte) (View, uint64, error) {
+	v, rest, err := decodeView(b)
+	if err != nil {
+		return View{}, 0, err
+	}
+	if len(rest) != 8 {
+		return View{}, 0, ErrBadFrame
+	}
+	return v, binary.LittleEndian.Uint64(rest), nil
 }
 
 // LeaseReplica is one replica location in a lease: the cache server's
@@ -1003,32 +972,28 @@ func decodeStaleRoute(b []byte) (epoch, placement uint64, err error) {
 }
 
 // appendPutMeta appends the direct-read fencing metadata to an opPutView
-// body, after the encoded view: uint64(epoch) | uint64(placement). The
-// server's put decoder stops at the view, so the trailer is invisible to
-// cache servers that predate direct reads; newer servers use it to learn
-// the membership epoch and the placement version of the view they now
-// hold.
+// body, after the encoded view: uint64(epoch) | uint64(placement) — the
+// membership epoch and the placement version of the view the server now
+// holds. A placement version of 0 is a view that was never re-placed; it
+// can never out-fence a lease.
 func appendPutMeta(buf []byte, epoch, placement uint64) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	return binary.LittleEndian.AppendUint64(buf, placement)
 }
 
-// decodePutMeta reads the trailing put metadata, or zeros when the broker
-// did not send any. Epochs start at 1, so 0 means unknown; a placement
-// version of 0 is simply a view that was never re-placed — it can never
-// out-fence a lease.
-func decodePutMeta(b []byte) (epoch, placement uint64) {
+// decodePutMeta reads the put metadata and returns what follows it.
+func decodePutMeta(b []byte) (epoch, placement uint64, rest []byte, err error) {
 	if len(b) < 16 {
-		return 0, 0
+		return 0, 0, nil, ErrBadFrame
 	}
-	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16])
+	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), b[16:], nil
 }
 
-// appendBrokerStats encodes the respStats body: eleven fixed 8-byte
-// counters in wire order, paired with decodeBrokerStats. The counter
-// groups were added over time (40 → 48 → 72 → 80 → 88 bytes), so the
-// decoder tolerates shorter bodies from older brokers; the encoder
-// always sends the full current set.
+// brokerStatsLen is the fixed size of a respStats body from a broker.
+const brokerStatsLen = 11 * 8
+
+// appendBrokerStats encodes the broker's respStats body: eleven 8-byte
+// counters in wire order.
 func appendBrokerStats(b []byte, st BrokerStats) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Reads))
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Writes))
@@ -1042,6 +1007,56 @@ func appendBrokerStats(b []byte, st BrokerStats) []byte {
 	b = binary.LittleEndian.AppendUint64(b, st.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.LeaseGrants))
 	return b
+}
+
+// decodeBrokerStats parses a broker's respStats body.
+func decodeBrokerStats(body []byte) (BrokerStats, error) {
+	if len(body) != brokerStatsLen {
+		return BrokerStats{}, ErrBadFrame
+	}
+	return BrokerStats{
+		Reads:             int64(binary.LittleEndian.Uint64(body[0:8])),
+		Writes:            int64(binary.LittleEndian.Uint64(body[8:16])),
+		Replicated:        int64(binary.LittleEndian.Uint64(body[16:24])),
+		Evicted:           int64(binary.LittleEndian.Uint64(body[24:32])),
+		Misses:            int64(binary.LittleEndian.Uint64(body[32:40])),
+		Migrated:          int64(binary.LittleEndian.Uint64(body[40:48])),
+		Checkpoints:       int64(binary.LittleEndian.Uint64(body[48:56])),
+		CompactedSegments: int64(binary.LittleEndian.Uint64(body[56:64])),
+		CatchupRecords:    int64(binary.LittleEndian.Uint64(body[64:72])),
+		Epoch:             binary.LittleEndian.Uint64(body[72:80]),
+		LeaseGrants:       int64(binary.LittleEndian.Uint64(body[80:88])),
+	}, nil
+}
+
+// serverStatsLen is the fixed size of a respStats body from a cache
+// server.
+const serverStatsLen = 4 + 5*8
+
+// appendServerStats encodes a cache server's respStats body:
+// uint32(views) | hits | misses | puts | directReads | directStale.
+func appendServerStats(b []byte, st ServerStats) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(st.Views))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.Hits))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.Misses))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.Puts))
+	b = binary.LittleEndian.AppendUint64(b, uint64(st.DirectReads))
+	return binary.LittleEndian.AppendUint64(b, uint64(st.DirectStale))
+}
+
+// decodeServerStats parses a cache server's respStats body.
+func decodeServerStats(body []byte) (ServerStats, error) {
+	if len(body) != serverStatsLen {
+		return ServerStats{}, ErrBadFrame
+	}
+	return ServerStats{
+		Views:       int(binary.LittleEndian.Uint32(body[0:4])),
+		Hits:        int64(binary.LittleEndian.Uint64(body[4:12])),
+		Misses:      int64(binary.LittleEndian.Uint64(body[12:20])),
+		Puts:        int64(binary.LittleEndian.Uint64(body[20:28])),
+		DirectReads: int64(binary.LittleEndian.Uint64(body[28:36])),
+		DirectStale: int64(binary.LittleEndian.Uint64(body[36:44])),
+	}, nil
 }
 
 // errorBody builds a respError payload.
@@ -1067,8 +1082,7 @@ var wireErrs = []struct {
 
 // errorBodyFor builds a respError payload from an error, prefixing the
 // code of the first matching wire sentinel so the remote client can
-// reconstruct it. Errors matching no sentinel travel as their plain text,
-// exactly as before — old clients see a three-byte prefix at worst.
+// reconstruct it. Errors matching no sentinel travel as their plain text.
 func errorBodyFor(err error) []byte {
 	for _, we := range wireErrs {
 		if errors.Is(err, we.err) {
@@ -1101,7 +1115,7 @@ func asRemoteError(body []byte) error {
 				return &remoteError{sentinel: we.err, msg: msg[3:]}
 			}
 		}
-		// An unknown code from a newer peer: surface the text untouched.
+		// A code this build does not know: surface the text untouched.
 		msg = msg[3:]
 	}
 	return fmt.Errorf("%w: %s", ErrRemote, msg)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dynasore/internal/membership"
+	"dynasore/internal/telemetry"
 	"dynasore/internal/wal"
 )
 
@@ -46,17 +47,17 @@ func TestWriteFrameTooLarge(t *testing.T) {
 	if err := writeFrame(io.Discard, opWrite, make([]byte, maxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := writeFrameV2(io.Discard, opWrite, 1, make([]byte, maxFrame-8)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("v2 err = %v, want ErrFrameTooLarge", err)
+	if err := writeMuxFrame(io.Discard, opWrite, 1, make([]byte, maxFrame-8)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("muxed err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameV2RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrameV2(&buf, respRead, 0xDEADBEEFCAFE, []byte("payload")); err != nil {
+	if err := writeMuxFrame(&buf, respRead, 0xDEADBEEFCAFE, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	msgType, id, body, err := readFrameV2(&buf)
+	msgType, id, body, err := readMuxFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,60 +67,59 @@ func TestFrameV2RoundTrip(t *testing.T) {
 }
 
 func TestReadFrameV2Undersized(t *testing.T) {
-	// A v2 frame must hold at least type + request ID (9 bytes).
+	// A muxed frame must hold at least type + request ID (9 bytes).
 	hdr := binary.LittleEndian.AppendUint32(nil, 5)
 	hdr = append(hdr, opRead, 0, 0, 0, 0)
-	if _, _, _, err := readFrameV2(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := readMuxFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
+// TestParseHello pins the handshake: only an offer of exactly the one
+// wire version is accepted; malformed bodies are bad frames.
 func TestParseHello(t *testing.T) {
-	if v, err := parseHello(helloBody(protoV2)); err != nil || v != protoV2 {
-		t.Errorf("parseHello(valid) = %d, %v", v, err)
-	}
-	if v, err := parseHello(helloBody(protoV3)); err != nil || v != protoV3 {
-		t.Errorf("parseHello(v3) = %d, %v", v, err)
-	}
-	if v, err := parseHello(helloBody(9)); err != nil || v != protoV3 {
-		t.Errorf("future client version: = %d, %v, want downgrade to v3", v, err)
-	}
-	if _, err := parseHello([]byte("XXXX\x02")); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
-	}
-	if _, err := parseHello(helloBody(protoV1)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("v1 hello: err = %v, want ErrBadVersion", err)
-	}
-	if _, err := parseHello([]byte{'D', 'S'}); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("short hello: err = %v, want ErrBadFrame", err)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want error
+	}{
+		{"offer 3", helloBody(3), nil},
+		{"offer 1", helloBody(1), ErrBadVersion},
+		{"offer 2", helloBody(2), ErrBadVersion},
+		{"offer 4", helloBody(4), ErrBadVersion},
+		{"offer 0", helloBody(0), ErrBadVersion},
+		{"bad magic", []byte("XXXX\x03"), ErrBadFrame},
+		{"short", []byte{'D', 'S'}, ErrBadFrame},
+		{"trailing byte", append(helloBody(3), 0), ErrBadFrame},
+	} {
+		if err := parseHello(tc.body); !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
+			t.Errorf("%s: parseHello = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestReadRequestCounts(t *testing.T) {
-	// v1 must reject >65535 targets instead of silently truncating.
+	// The count is a uint32: more targets than a uint16 could express
+	// round-trip.
 	big := make([]uint32, 70000)
-	if _, err := encodeReadRequest(protoV1, big); !errors.Is(err, ErrTooManyTargets) {
-		t.Errorf("v1 70000 targets: err = %v, want ErrTooManyTargets", err)
-	}
-	// v2 widens the count field.
-	body, err := encodeReadRequest(protoV2, big)
+	body, err := encodeReadRequest(big)
 	if err != nil {
-		t.Fatalf("v2 70000 targets: %v", err)
+		t.Fatalf("70000 targets: %v", err)
 	}
-	targets, err := decodeReadRequest(protoV2, body)
+	targets, err := decodeReadRequest(body)
 	if err != nil || len(targets) != 70000 {
-		t.Fatalf("v2 decode = %d targets, %v", len(targets), err)
+		t.Fatalf("decode = %d targets, %v", len(targets), err)
 	}
-	// Truncated request bodies are rejected in both versions.
-	small, err := encodeReadRequest(protoV2, []uint32{1, 2, 3})
+	// The count must account for every byte: short and long bodies are
+	// both malformed.
+	small, err := encodeReadRequest([]uint32{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeReadRequest(protoV2, small[:len(small)-2]); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("truncated v2 request: err = %v, want ErrBadFrame", err)
-	}
-	if _, err := decodeReadRequest(protoV1, []byte{9}); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("short v1 request: err = %v, want ErrBadFrame", err)
+	for _, bad := range [][]byte{nil, {9}, small[:len(small)-2], small[:len(small)-4], append(small, 0)} {
+		if _, err := decodeReadRequest(bad); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("request of %d bytes: err = %v, want ErrBadFrame", len(bad), err)
+		}
 	}
 }
 
@@ -127,7 +127,7 @@ func TestReadRequestCounts(t *testing.T) {
 
 func TestUnknownMessageTypeGetsError(t *testing.T) {
 	_, _, c := testCluster(t, 1, nil)
-	respType, body, err := c.roundTrip(250, nil)
+	respType, body, err := c.do(context.Background(), 250, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,9 @@ func TestUnknownMessageTypeGetsError(t *testing.T) {
 
 func TestHelloBadMagicRejected(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	c, err := Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	respType, _, err := c.roundTrip(opHello, []byte("NOPE\x02"))
+	c := newServerConn(b.Addr())
+	defer c.close()
+	respType, _, err := c.roundTrip(opHello, []byte("NOPE\x03"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,28 +149,18 @@ func TestHelloBadMagicRejected(t *testing.T) {
 	}
 }
 
-func dialV2(t *testing.T, addr string) *ClientV2 {
-	t.Helper()
-	c, err := DialV2(context.Background(), addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 func TestV2WriteThenRead(t *testing.T) {
 	b, _, _ := testCluster(t, 3, nil)
 	ctx := context.Background()
-	c := dialV2(t, b.Addr())
-	if _, err := c.Write(ctx, 7, []byte("hello v2")); err != nil {
+	c := dialClient(t, b.Addr())
+	if _, err := c.Write(ctx, 7, []byte("hello mux")); err != nil {
 		t.Fatal(err)
 	}
 	views, err := c.Read(ctx, []uint32{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(views) != 1 || len(views[0].Events) != 1 || string(views[0].Events[0]) != "hello v2" {
+	if len(views) != 1 || len(views[0].Events) != 1 || string(views[0].Events[0]) != "hello mux" {
 		t.Fatalf("views = %+v", views)
 	}
 	st, err := c.Stats(ctx)
@@ -188,7 +175,7 @@ func TestV2WriteThenRead(t *testing.T) {
 func TestV2MultiplexedConcurrentRequests(t *testing.T) {
 	b, _, _ := testCluster(t, 3, nil)
 	ctx := context.Background()
-	c := dialV2(t, b.Addr()) // pool size 1: all requests share one connection
+	c := dialClient(t, b.Addr()) // pool size 1: all requests share one connection
 	const workers = 16
 	const opsEach = 20
 	var wg sync.WaitGroup
@@ -232,7 +219,7 @@ func TestV2MultiplexedConcurrentRequests(t *testing.T) {
 
 func TestV2ContextCancellation(t *testing.T) {
 	b, _, _ := testCluster(t, 1, nil)
-	c := dialV2(t, b.Addr())
+	c := dialClient(t, b.Addr())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Read(ctx, []uint32{1}); !errors.Is(err, context.Canceled) {
@@ -244,47 +231,19 @@ func TestV2ContextCancellation(t *testing.T) {
 	}
 }
 
-func TestV1AndV2ClientsInterop(t *testing.T) {
-	b, _, c1 := testCluster(t, 2, nil)
-	ctx := context.Background()
-	c2 := dialV2(t, b.Addr())
-	if _, err := c1.Write(3, []byte("from v1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Write(ctx, 3, []byte("from v2")); err != nil {
-		t.Fatal(err)
-	}
-	v1Views, err := c1.Read([]uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Views, err := c2.Read(ctx, []uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, views := range map[string][]View{"v1": v1Views, "v2": v2Views} {
-		if len(views) != 1 || len(views[0].Events) != 2 {
-			t.Fatalf("%s views = %+v", name, views)
-		}
-		if string(views[0].Events[0]) != "from v1" || string(views[0].Events[1]) != "from v2" {
-			t.Errorf("%s events = %q", name, views[0].Events)
-		}
-	}
-}
-
 func TestV2ReadBeyond64KTargets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large read in -short mode")
 	}
 	b, _, _ := testCluster(t, 3, nil)
 	ctx := context.Background()
-	c := dialV2(t, b.Addr())
+	c := dialClient(t, b.Addr())
 	for u := uint32(0); u < 10; u++ {
 		if _, err := c.Write(ctx, u, []byte{byte(u)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// More targets than a v1 uint16 count can express, cycling 10 users.
+	// More targets than a uint16 count could express, cycling 10 users.
 	targets := make([]uint32, 0x10000+16)
 	for i := range targets {
 		targets[i] = uint32(i % 10)
@@ -332,14 +291,14 @@ func TestConcurrentReadsDoNotDuplicateReplicas(t *testing.T) {
 }
 
 func TestDecodeReadResponseHostileCount(t *testing.T) {
-	// A malformed v2 respRead claiming 2^32-1 views in a 4-byte body must
-	// be rejected without attempting a giant allocation.
+	// A malformed respRead claiming 2^32-1 views in a 4-byte body must be
+	// rejected without attempting a giant allocation.
 	body := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF)
-	if _, _, err := decodeReadResponse(protoV2, body); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := decodeReadResponse(body); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("err = %v, want ErrBadFrame", err)
 	}
-	// Same for a v2 read request header.
-	if _, err := decodeReadRequest(protoV2, body); !errors.Is(err, ErrBadFrame) {
+	// Same for a read request header.
+	if _, err := decodeReadRequest(body); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("request err = %v, want ErrBadFrame", err)
 	}
 }
@@ -347,18 +306,22 @@ func TestDecodeReadResponseHostileCount(t *testing.T) {
 // --- fuzzing ---
 
 func FuzzReadFrame(f *testing.F) {
-	// Seed corpus: valid frames of both versions, truncations, oversizes.
+	// Seed corpus: valid frames of both framings, truncations, oversizes.
+	req, _ := encodeReadRequest([]uint32{42})
+	req = telemetry.AppendTraceContext(req, telemetry.TraceContext{})
 	var valid bytes.Buffer
-	writeFrame(&valid, opRead, []byte{1, 0, 42, 0, 0, 0})
+	writeFrame(&valid, opRead, req)
 	f.Add(valid.Bytes())
-	var validV2 bytes.Buffer
-	writeFrameV2(&validV2, opRead, 7, []byte{1, 0, 0, 0, 42, 0, 0, 0})
-	f.Add(validV2.Bytes())
+	var validMux bytes.Buffer
+	writeMuxFrame(&validMux, opRead, 7, req)
+	f.Add(validMux.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0})
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, 9), opHello))
-	f.Add(helloBody(protoV2))
+	var hello bytes.Buffer
+	writeFrame(&hello, opHello, helloBody(wireVersion))
+	f.Add(hello.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msgType, body, err := readFrame(bytes.NewReader(data))
@@ -372,22 +335,22 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("round trip mismatch: %x != %x", buf.Bytes(), data[:buf.Len()])
 			}
 		}
-		if t2, id, body2, err2 := readFrameV2(bytes.NewReader(data)); err2 == nil {
+		if t2, id, body2, err2 := readMuxFrame(bytes.NewReader(data)); err2 == nil {
 			var buf bytes.Buffer
-			if werr := writeFrameV2(&buf, t2, id, body2); werr != nil {
-				t.Fatalf("v2 re-encode failed: %v", werr)
+			if werr := writeMuxFrame(&buf, t2, id, body2); werr != nil {
+				t.Fatalf("muxed re-encode failed: %v", werr)
 			}
 			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
-				t.Fatalf("v2 round trip mismatch")
+				t.Fatalf("muxed round trip mismatch")
 			}
 		}
 	})
 }
 
-// FuzzMembershipInfo drives the opMembershipDelta/opMembershipPull body
-// codec (an encoded membership view, optionally followed by slot-aligned
-// loads in respMembership bodies): whatever decodes must re-encode to the
-// identical bytes, and hostile counts must be rejected before allocation.
+// FuzzMembershipInfo drives the respMembership body codec (an encoded
+// membership view followed by one load per slot): whatever decodes must
+// re-encode to the identical bytes, and hostile counts must be rejected
+// before allocation.
 func FuzzMembershipInfo(f *testing.F) {
 	view := membership.Seed([]membership.ServerInfo{
 		{Addr: "127.0.0.1:7001", Zone: 0, Rack: 1},
@@ -395,7 +358,7 @@ func FuzzMembershipInfo(f *testing.F) {
 	})
 	view, _ = view.WithDraining("127.0.0.1:7002")
 	f.Add(encodeMembershipInfo(MembershipInfo{View: view, Loads: []int64{3, 0}}))
-	f.Add(membership.AppendView(nil, view)) // delta body: no loads
+	f.Add(membership.AppendView(nil, view)) // loads missing: rejected
 	f.Add([]byte{})
 	f.Add(make([]byte, 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -403,17 +366,8 @@ func FuzzMembershipInfo(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The view always round-trips byte-for-byte.
-		vb := membership.AppendView(nil, info.View)
-		if !bytes.Equal(vb, data[:len(vb)]) {
-			t.Fatalf("membership view round trip mismatch")
-		}
-		// When loads were present, the full body round-trips too.
-		if info.Loads != nil {
-			re := encodeMembershipInfo(info)
-			if !bytes.Equal(re, data[:len(re)]) {
-				t.Fatalf("membership info round trip mismatch")
-			}
+		if re := encodeMembershipInfo(info); !bytes.Equal(re, data) {
+			t.Fatalf("membership info round trip mismatch")
 		}
 	})
 }
@@ -440,9 +394,12 @@ func TestMembershipInfoRoundTrip(t *testing.T) {
 			t.Errorf("load %d = %d, want %d", i, got.Loads[i], l)
 		}
 	}
-	// A truncated body is rejected, not mis-parsed.
-	if _, err := decodeMembershipInfo([]byte{1, 2, 3}); err == nil {
-		t.Error("short membership info decoded")
+	// Truncated bodies — the loads included — are rejected, not mis-parsed.
+	full := encodeMembershipInfo(info)
+	for _, bad := range [][]byte{{1, 2, 3}, full[:len(full)-1], full[:len(full)-8], append(full, 0)} {
+		if _, err := decodeMembershipInfo(bad); err == nil {
+			t.Errorf("membership info of %d/%d bytes decoded", len(bad), len(full))
+		}
 	}
 }
 
@@ -533,14 +490,18 @@ func TestAccessReportRoundTrip(t *testing.T) {
 }
 
 func TestSyncWriteRoundTrip(t *testing.T) {
-	user, seq, at, payload, err := decodeSyncWrite(encodeSyncWrite(7, 99, -5, []byte("event")))
+	body := encodeSyncWrite(7, 99, -5, []byte("event"), telemetry.TraceContext{})
+	if len(body) != 24+len("event") {
+		t.Errorf("unsampled sync write is %d bytes, want no trace trailer", len(body))
+	}
+	user, seq, at, payload, tc, err := decodeSyncWrite(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if user != 7 || seq != 99 || at != -5 || string(payload) != "event" {
-		t.Errorf("round trip mismatch: %d %d %d %q", user, seq, at, payload)
+	if user != 7 || seq != 99 || at != -5 || string(payload) != "event" || tc.Sampled() {
+		t.Errorf("round trip mismatch: %d %d %d %q %+v", user, seq, at, payload, tc)
 	}
-	if _, _, _, _, err := decodeSyncWrite([]byte("short")); err == nil {
+	if _, _, _, _, _, err := decodeSyncWrite([]byte("short")); err == nil {
 		t.Error("short sync write accepted")
 	}
 }
@@ -633,39 +594,82 @@ func TestLogRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBrokerStatsDecodeBackCompat pins the wire evolution of respStats:
-// 40-byte (pre-migration), 48-byte (pre-durability), and current 72-byte
-// bodies all decode, newer fields zero when absent.
-func TestBrokerStatsDecodeBackCompat(t *testing.T) {
-	full := make([]byte, 0, 72)
-	for i := int64(1); i <= 9; i++ {
-		full = binary.LittleEndian.AppendUint64(full, uint64(i))
+// TestStatsRoundTrip pushes both respStats bodies through their codecs.
+func TestStatsRoundTrip(t *testing.T) {
+	bst := BrokerStats{Reads: 1, Writes: 2, Replicated: 3, Evicted: 4, Misses: 5, Migrated: 6,
+		Checkpoints: 7, CompactedSegments: 8, CatchupRecords: 9, Epoch: 10, LeaseGrants: 11}
+	if got, err := decodeBrokerStats(appendBrokerStats(nil, bst)); err != nil || got != bst {
+		t.Errorf("broker stats = %+v, %v, want %+v", got, err, bst)
 	}
-	st, err := decodeBrokerStats(respStats, full)
-	if err != nil {
-		t.Fatal(err)
+	sst := ServerStats{Views: 1, Hits: 2, Misses: 3, Puts: 4, DirectReads: 5, DirectStale: 6}
+	if got, err := decodeServerStats(appendServerStats(nil, sst)); err != nil || got != sst {
+		t.Errorf("server stats = %+v, %v, want %+v", got, err, sst)
 	}
-	want := BrokerStats{Reads: 1, Writes: 2, Replicated: 3, Evicted: 4, Misses: 5, Migrated: 6,
-		Checkpoints: 7, CompactedSegments: 8, CatchupRecords: 9}
-	if st != want {
-		t.Fatalf("full stats = %+v, want %+v", st, want)
+}
+
+// TestTruncatedBodiesRejected feeds every shortened (and one lengthened)
+// copy of the fixed-layout bodies to their decoders: each must answer
+// ErrBadFrame, never a zero-filled or partial decode.
+func TestTruncatedBodiesRejected(t *testing.T) {
+	tc := telemetry.TraceContext{TraceID: 1, SpanID: 2, Flags: telemetry.FlagSampled}
+	view := View{Version: 4, Events: [][]byte{[]byte("ev")}}
+	untraced := encodeSyncWrite(3, 4, 5, []byte("payload"), telemetry.TraceContext{})
+	traced := encodeSyncWrite(3, 4, 5, []byte("payload"), tc)
+	decoders := []struct {
+		name   string
+		full   []byte
+		minCut int // shortest prefix tried; shorter ones are valid bodies
+		decode func([]byte) error
+	}{
+		{"broker stats", appendBrokerStats(nil, BrokerStats{Reads: 1}), 0, func(b []byte) error {
+			_, err := decodeBrokerStats(b)
+			return err
+		}},
+		{"server stats", appendServerStats(nil, ServerStats{Views: 1}), 0, func(b []byte) error {
+			_, err := decodeServerStats(b)
+			return err
+		}},
+		{"put meta", appendPutMeta(nil, 1, 2), 0, func(b []byte) error {
+			_, _, _, err := decodePutMeta(b)
+			return err
+		}},
+		{"read response epoch", encodeReadResponse([]View{view}, 9), 0, func(b []byte) error {
+			_, _, err := decodeReadResponse(b)
+			return err
+		}},
+		{"write response epoch", encodeWriteResponse(7, 9), 0, func(b []byte) error {
+			_, _, err := decodeWriteResponse(b)
+			return err
+		}},
+		{"direct view epoch", encodeDirectView(view, 9), 0, func(b []byte) error {
+			_, _, err := decodeDirectView(b)
+			return err
+		}},
+		{"sync write", untraced, 0, func(b []byte) error {
+			_, _, _, _, _, err := decodeSyncWrite(b)
+			return err
+		}},
+		// Cut at len(untraced) the traced body is the valid unsampled one.
+		{"traced sync write", traced, len(untraced) + 1, func(b []byte) error {
+			_, _, _, _, _, err := decodeSyncWrite(b)
+			return err
+		}},
 	}
-	st, err = decodeBrokerStats(respStats, full[:48])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Migrated != 6 || st.Checkpoints != 0 || st.CatchupRecords != 0 {
-		t.Fatalf("48-byte stats = %+v, want durability fields zero", st)
-	}
-	st, err = decodeBrokerStats(respStats, full[:40])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Misses != 5 || st.Migrated != 0 {
-		t.Fatalf("40-byte stats = %+v", st)
-	}
-	if _, err := decodeBrokerStats(respStats, full[:30]); err == nil {
-		t.Error("short stats body accepted")
+	for _, d := range decoders {
+		if err := d.decode(d.full); err != nil {
+			t.Errorf("%s: full body rejected: %v", d.name, err)
+		}
+		for cut := d.minCut; cut < len(d.full); cut++ {
+			if err := d.decode(d.full[:cut]); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s: %d/%d bytes: err = %v, want ErrBadFrame", d.name, cut, len(d.full), err)
+			}
+		}
+		if d.name == "put meta" {
+			continue // the put's trace trailer follows; decodeTraceTrailer judges it
+		}
+		if err := d.decode(append(bytes.Clone(d.full), 0)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: one byte too long: err = %v, want ErrBadFrame", d.name, err)
+		}
 	}
 }
 
@@ -730,9 +734,9 @@ func TestDirectGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPutMetaTrailer pins the opPutView trailer discipline: a view
-// encoded with the fencing trailer decodes identically, and the trailer
-// reads back (or zeros, for a pre-direct-reads broker that sent none).
+// TestPutMetaTrailer pins the opPutView trailer discipline: the fencing
+// metadata after the view is mandatory, and only a whole trace context
+// may follow it.
 func TestPutMetaTrailer(t *testing.T) {
 	v := View{Version: 9, Events: [][]byte{[]byte("a"), []byte("bc")}}
 	body := appendPutMeta(encodeView(nil, v), 5, 11)
@@ -740,17 +744,29 @@ func TestPutMetaTrailer(t *testing.T) {
 	if err != nil || got.Version != 9 || len(got.Events) != 2 {
 		t.Fatalf("view with trailer = %+v, %v", got, err)
 	}
-	epoch, placement := decodePutMeta(rest)
-	if epoch != 5 || placement != 11 {
-		t.Fatalf("trailer = (%d, %d), want (5, 11)", epoch, placement)
+	epoch, placement, rest, err := decodePutMeta(rest)
+	if err != nil || epoch != 5 || placement != 11 || len(rest) != 0 {
+		t.Fatalf("trailer = (%d, %d, %d left, %v), want (5, 11, 0 left)", epoch, placement, len(rest), err)
 	}
-	// No trailer: zeros, meaning unknown epoch / never re-placed.
+	// No metadata: a malformed put, not an unknown epoch.
 	_, rest, err = decodeView(encodeView(nil, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch, placement := decodePutMeta(rest); epoch != 0 || placement != 0 {
-		t.Errorf("absent trailer = (%d, %d), want zeros", epoch, placement)
+	if _, _, _, err := decodePutMeta(rest); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("absent trailer: err = %v, want ErrBadFrame", err)
+	}
+	// The trace trailer is all or nothing.
+	tc := telemetry.TraceContext{TraceID: 3, SpanID: 4, Flags: telemetry.FlagSampled}
+	trailer := appendTraceTrailer(nil, tc)
+	if got, err := decodeTraceTrailer(trailer); err != nil || got != tc {
+		t.Errorf("trace trailer = %+v, %v, want %+v", got, err, tc)
+	}
+	if n := len(appendTraceTrailer(nil, telemetry.TraceContext{})); n != 0 {
+		t.Errorf("unsampled trace trailer is %d bytes, want 0", n)
+	}
+	if _, err := decodeTraceTrailer(trailer[:len(trailer)-1]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("cut trace trailer: err = %v, want ErrBadFrame", err)
 	}
 }
 

@@ -12,15 +12,13 @@ import (
 )
 
 // serverShardCount is the number of independently locked view-map shards a
-// cache server keeps. Concurrent v2 requests for different users proceed in
+// cache server keeps. Concurrent requests for different users proceed in
 // parallel instead of serializing on one mutex; a power of two keeps the
 // shard selection a mask.
 const serverShardCount = 32
 
 // cachedView pairs a cached view with the placement version the broker
-// stamped on its put — the per-user fencing token direct reads verify. A
-// zero placement means the put came from a broker that predates direct
-// reads (those views still serve: zero can never exceed a lease's token).
+// stamped on its put — the per-user fencing token direct reads verify.
 type cachedView struct {
 	View
 	placement uint64
@@ -37,10 +35,10 @@ type serverShard struct {
 
 // Server is one in-memory cache node: it stores view replicas keyed by user
 // and serves gets/puts from brokers. Views live only in memory — durability
-// is the persistent store's job, exactly as in the paper. It speaks both
-// protocol versions: v1 clients are served one request at a time, v2
-// clients multiplex concurrent requests over one connection. The view map
-// is hash-sharded so concurrent requests do not serialize on a single lock.
+// is the persistent store's job, exactly as in the paper. Brokers reach it
+// over pooled plain-framed connections, direct-reading clients over muxed
+// ones. The view map is hash-sharded so concurrent requests do not
+// serialize on a single lock.
 type Server struct {
 	shards [serverShardCount]serverShard
 
@@ -168,17 +166,19 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) handle(version int, msgType uint8, body []byte) (uint8, []byte) {
+func (s *Server) handle(msgType uint8, body []byte) (uint8, []byte) {
 	switch msgType {
 	case opGetView:
 		if len(body) < 4 {
 			return respError, errorBody("short get")
 		}
+		tc, err := decodeTraceTrailer(body[4:])
+		if err != nil {
+			return respError, errorBody("bad get: " + err.Error())
+		}
 		start := time.Now()
 		user := binary.LittleEndian.Uint32(body[0:4])
-		// Tracing brokers append a trace context after the user ID; the
-		// fixed-offset decode above never sees it.
-		sp := s.tel.StartSpan(trailerTrace(body, 4), "server.get")
+		sp := s.tel.StartSpan(tc, "server.get")
 		v, ok := s.lookup(user)
 		sp.Stage("lookup")
 		sp.End()
@@ -199,12 +199,18 @@ func (s *Server) handle(version int, msgType uint8, body []byte) (uint8, []byte)
 		if err != nil {
 			return respError, errorBody(err.Error())
 		}
-		// Newer brokers append the fencing metadata after the view; the
-		// epoch piggybacking on every put keeps a busy server fenced
-		// correctly even if it missed an explicit epoch push. Tracing
-		// brokers append a trace context behind the metadata.
-		epoch, placement := decodePutMeta(rest)
-		sp := s.tel.StartSpan(trailerTrace(rest, 16), "server.put")
+		// The fencing metadata follows the view: the epoch piggybacking
+		// on every put keeps a busy server fenced correctly even if it
+		// missed an explicit epoch push.
+		epoch, placement, rest, err := decodePutMeta(rest)
+		if err != nil {
+			return respError, errorBody("bad put: " + err.Error())
+		}
+		tc, err := decodeTraceTrailer(rest)
+		if err != nil {
+			return respError, errorBody("bad put: " + err.Error())
+		}
+		sp := s.tel.StartSpan(tc, "server.put")
 		s.noteEpoch(epoch)
 		s.install(user, v, placement)
 		sp.Stage("install")
@@ -241,7 +247,7 @@ func (s *Server) handle(version int, msgType uint8, body []byte) (uint8, []byte)
 			return respStaleRoute, appendStaleRoute(nil, se, cv.placement)
 		}
 		s.directReads.Add(1)
-		return respView, appendEpochTrailer(encodeView(nil, cv.View), se)
+		return respView, encodeDirectView(cv.View, se)
 	case opEpochPush:
 		if len(body) < 8 {
 			return respError, errorBody("short epoch push")
@@ -256,29 +262,10 @@ func (s *Server) handle(version int, msgType uint8, body []byte) (uint8, []byte)
 		s.drop(user)
 		return respOK, nil
 	case opServerStats:
-		var buf []byte
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.NumViews()))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.hits.Load()))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.misses.Load()))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.puts.Load()))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.directReads.Load()))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.directStale.Load()))
-		return respStats, buf
+		return respStats, appendServerStats(nil, s.Stats())
 	default:
 		return respError, errorBody("unknown op")
 	}
-}
-
-// trailerTrace extracts the optional trace context a tracing sender
-// appended to a v1 request body, sitting at offset after (the end of the
-// structured payload the receiver's decoder stops at). Bodies without
-// the trailer yield the zero (unsampled) context.
-func trailerTrace(b []byte, after int) telemetry.TraceContext {
-	if len(b) < after+telemetry.TraceContextLen {
-		return telemetry.TraceContext{}
-	}
-	tc, _ := telemetry.DecodeTraceContext(b[after : after+telemetry.TraceContextLen])
-	return tc
 }
 
 // NumViews returns how many views the server currently holds.
@@ -340,14 +327,15 @@ type ServerStats struct {
 }
 
 // serverPoolSize is how many connections a broker keeps per cache server,
-// so concurrent v2 requests fan out to the backend in parallel.
+// so concurrent requests fan out to the backend in parallel.
 const serverPoolSize = 4
 
-// serverConn is a pooled set of request/response connections to one cache
-// server: up to serverPoolSize requests proceed in parallel, each holding
-// one connection for its round trip. A non-zero timeout bounds dialing and
-// every round trip — peer-broker connections use one so a hung peer can
-// never stall the liveness/election loop that exists to detect it.
+// serverConn is a pooled set of plain-framed request/response connections
+// to one cache server or peer broker: up to serverPoolSize requests
+// proceed in parallel, each holding one connection for its round trip. A
+// non-zero timeout bounds dialing and every round trip — peer-broker
+// connections use one so a hung peer can never stall the liveness/election
+// loop that exists to detect it.
 type serverConn struct {
 	addr    string
 	timeout time.Duration
@@ -470,19 +458,11 @@ func (c *serverConn) close() {
 	c.idle = nil
 }
 
-// getView fetches a view from the server; ok is false on a cache miss.
-func (c *serverConn) getView(user uint32) (View, bool, error) {
-	return c.getViewTraced(user, telemetry.TraceContext{})
-}
-
-// getViewTraced is getView carrying a trace context: sampled requests
-// ride as a trailer behind the user ID (invisible to servers that
-// predate tracing), so the cache server's span joins the trace.
-func (c *serverConn) getViewTraced(user uint32, tc telemetry.TraceContext) (View, bool, error) {
-	body := binary.LittleEndian.AppendUint32(nil, user)
-	if tc.Sampled() {
-		body = telemetry.AppendTraceContext(body, tc)
-	}
+// getView fetches a view from the server; ok is false on a cache miss. A
+// sampled tc rides as a trailer behind the user ID, so the cache server's
+// span joins the trace.
+func (c *serverConn) getView(user uint32, tc telemetry.TraceContext) (View, bool, error) {
+	body := appendTraceTrailer(binary.LittleEndian.AppendUint32(nil, user), tc)
 	respType, respBody, err := c.roundTrip(opGetView, body)
 	if err != nil {
 		return View{}, false, err
@@ -500,67 +480,31 @@ func (c *serverConn) getViewTraced(user uint32, tc telemetry.TraceContext) (View
 	}
 }
 
-// putView installs a view replica on the server.
-func (c *serverConn) putView(user uint32, v View) error {
-	body := binary.LittleEndian.AppendUint32(nil, user)
-	body = encodeView(body, v)
-	return c.putViewBody(body)
-}
-
-// putViewMeta installs a view replica stamped with the direct-read fencing
+// putView installs a view replica stamped with the direct-read fencing
 // tokens: the broker's membership epoch and the user's placement version.
-func (c *serverConn) putViewMeta(user uint32, v View, epoch, placement uint64) error {
-	return c.putViewTraced(user, v, epoch, placement, telemetry.TraceContext{})
-}
-
-// putViewTraced is putViewMeta carrying a trace context: sampled writes
-// append it behind the fencing metadata so the cache server's put span
-// joins the trace. Unsampled contexts add no bytes.
-func (c *serverConn) putViewTraced(user uint32, v View, epoch, placement uint64, tc telemetry.TraceContext) error {
+// A sampled tc rides behind them, so the cache server's put span joins the
+// trace.
+func (c *serverConn) putView(user uint32, v View, epoch, placement uint64, tc telemetry.TraceContext) error {
 	body := binary.LittleEndian.AppendUint32(nil, user)
 	body = encodeView(body, v)
-	body = appendPutMeta(body, epoch, placement)
-	if tc.Sampled() {
-		body = telemetry.AppendTraceContext(body, tc)
-	}
-	return c.putViewBody(body)
-}
-
-func (c *serverConn) putViewBody(body []byte) error {
-	respType, respBody, err := c.roundTrip(opPutView, body)
-	if err != nil {
-		return err
-	}
-	if respType == respError {
-		return asRemoteError(respBody)
-	}
-	if respType != respOK {
-		return ErrBadFrame
-	}
-	return nil
+	body = appendTraceTrailer(appendPutMeta(body, epoch, placement), tc)
+	return c.roundTripOK(opPutView, body)
 }
 
 // pushEpoch teaches the server the broker's current membership epoch, so
 // direct reads fence correctly on servers that receive no puts.
 func (c *serverConn) pushEpoch(epoch uint64) error {
-	body := binary.LittleEndian.AppendUint64(nil, epoch)
-	respType, respBody, err := c.roundTrip(opEpochPush, body)
-	if err != nil {
-		return err
-	}
-	if respType == respError {
-		return asRemoteError(respBody)
-	}
-	if respType != respOK {
-		return ErrBadFrame
-	}
-	return nil
+	return c.roundTripOK(opEpochPush, binary.LittleEndian.AppendUint64(nil, epoch))
 }
 
 // deleteView removes a replica from the server.
 func (c *serverConn) deleteView(user uint32) error {
-	body := binary.LittleEndian.AppendUint32(nil, user)
-	respType, respBody, err := c.roundTrip(opDeleteView, body)
+	return c.roundTripOK(opDeleteView, binary.LittleEndian.AppendUint32(nil, user))
+}
+
+// roundTripOK performs a request whose only successful answer is respOK.
+func (c *serverConn) roundTripOK(msgType uint8, body []byte) error {
+	respType, respBody, err := c.roundTrip(msgType, body)
 	if err != nil {
 		return err
 	}
@@ -579,20 +523,8 @@ func (c *serverConn) stats() (ServerStats, error) {
 	if err != nil {
 		return ServerStats{}, err
 	}
-	if respType != respStats || len(body) < 28 {
+	if respType != respStats {
 		return ServerStats{}, ErrBadFrame
 	}
-	st := ServerStats{
-		Views:  int(binary.LittleEndian.Uint32(body[0:4])),
-		Hits:   int64(binary.LittleEndian.Uint64(body[4:12])),
-		Misses: int64(binary.LittleEndian.Uint64(body[12:20])),
-		Puts:   int64(binary.LittleEndian.Uint64(body[20:28])),
-	}
-	// Servers that predate direct reads send 28 bytes; the counters that
-	// grew the record (28 → 44) decode only when present.
-	if len(body) >= 44 {
-		st.DirectReads = int64(binary.LittleEndian.Uint64(body[28:36]))
-		st.DirectStale = int64(binary.LittleEndian.Uint64(body[36:44]))
-	}
-	return st, nil
+	return decodeServerStats(body)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,22 +29,22 @@ func TestSplitTraceSuffixRoundTrip(t *testing.T) {
 func TestSyncWriteTracedCodecRoundTrip(t *testing.T) {
 	tc := telemetry.TraceContext{TraceID: 7, SpanID: 9, Flags: telemetry.FlagSampled}
 	payload := []byte("replicated event")
-	body := encodeSyncWriteTraced(42, 1001, 555, payload, tc)
-	user, seq, at, p, got, err := decodeSyncWriteTraced(body)
+	body := encodeSyncWrite(42, 1001, 555, payload, tc)
+	user, seq, at, p, got, err := decodeSyncWrite(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if user != 42 || seq != 1001 || at != 555 || !bytes.Equal(p, payload) || got != tc {
-		t.Errorf("decodeSyncWriteTraced = %d, %d, %d, %q, %+v", user, seq, at, p, got)
+		t.Errorf("decodeSyncWrite = %d, %d, %d, %q, %+v", user, seq, at, p, got)
 	}
-	if _, _, _, _, _, err := decodeSyncWriteTraced(body[:20]); err == nil {
+	if _, _, _, _, _, err := decodeSyncWrite(body[:20]); err == nil {
 		t.Error("truncated body decoded without error")
 	}
 }
 
 // TestClientTraceReachesBroker is the tracing acceptance path: a client
-// that samples every request mints a trace context, the v3 wire carries
-// it to the broker, and the broker's trace ring ends up holding a span
+// that samples every request mints a trace context, the wire carries it
+// to the broker, and the broker's trace ring ends up holding a span
 // with the client's trace ID and a full per-stage breakdown.
 func TestClientTraceReachesBroker(t *testing.T) {
 	brokerTel := telemetry.New()
@@ -55,7 +56,7 @@ func TestClientTraceReachesBroker(t *testing.T) {
 
 	clientTel := telemetry.New()
 	clientTel.SetSampleEvery(1)
-	c, err := DialV2(ctx, brokers[0].Addr(), 1)
+	c, err := DialClient(ctx, brokers[0].Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +106,10 @@ func TestClientTraceReachesBroker(t *testing.T) {
 	}
 }
 
-// TestV2ClientInterop pins backward compatibility: a client that offers
-// only protocol v2 negotiates v2 against an upgraded broker and its
-// suffix-free read bodies are still served.
+// TestV2ClientInterop pins what a client offering the retired version 2
+// gets from a live broker: an error reply at the handshake and a closed
+// connection — never a half-served session — while the broker keeps
+// serving clients that offer version 3.
 func TestV2ClientInterop(t *testing.T) {
 	brokers, _ := testBrokerCluster(t, 1, 2, nil)
 	if _, err := brokers[0].Write(3, []byte("payload")); err != nil {
@@ -120,43 +122,32 @@ func TestV2ClientInterop(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(conn, opHello, helloBody(protoV2)); err != nil {
+	if err := writeFrame(conn, opHello, helloBody(2)); err != nil {
 		t.Fatal(err)
 	}
 	msgType, body, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgType != respHello || len(body) < 1 || body[0] != protoV2 {
-		t.Fatalf("hello reply = (%d, %v), want v2 grant", msgType, body)
+	if msgType != respError || !strings.Contains(string(body), ErrBadVersion.Error()) {
+		t.Fatalf("hello reply = (%d, %q), want respError naming %v", msgType, body, ErrBadVersion)
+	}
+	if _, _, err := readFrame(conn); err == nil {
+		t.Error("connection stayed open after a refused hello")
 	}
 
-	req, err := encodeReadRequest(protoV2, []uint32{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrameV2(conn, opRead, 1, req); err != nil {
-		t.Fatal(err)
-	}
-	respType, id, respBody, err := readFrameV2(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respType != respRead || id != 1 {
-		t.Fatalf("read reply = (%d, %d, %q)", respType, id, respBody)
-	}
-	views, _, err := decodeReadResponse(protoV2, respBody)
+	views, err := testClient{dialClient(t, brokers[0].Addr())}.Read([]uint32{3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(views) != 1 || len(views[0].Events) == 0 || string(views[0].Events[0]) != "payload" {
-		t.Errorf("v2 read returned %+v", views)
+		t.Errorf("read after refused hello returned %+v", views)
 	}
 }
 
-// TestV3RequiresTraceSuffix pins the flip side: once a connection has
-// negotiated v3, a read body without the mandatory trace suffix is a
-// protocol error, not a silently misparsed request.
+// TestV3RequiresTraceSuffix pins the version-3 read layout: a read body
+// without the mandatory trace suffix is a protocol error, not a silently
+// misparsed request.
 func TestV3RequiresTraceSuffix(t *testing.T) {
 	brokers, _ := testBrokerCluster(t, 1, 2, nil)
 	conn, err := net.DialTimeout("tcp", brokers[0].Addr(), 5*time.Second)
@@ -165,17 +156,13 @@ func TestV3RequiresTraceSuffix(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	version, err := clientHello(conn)
-	if err != nil {
+	if err := clientHello(conn); err != nil {
 		t.Fatal(err)
 	}
-	if version != protoV3 {
-		t.Fatalf("negotiated v%d, want v%d", version, protoV3)
-	}
-	if err := writeFrameV2(conn, opRead, 1, nil); err != nil {
+	if err := writeMuxFrame(conn, opRead, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	respType, _, _, err := readFrameV2(conn)
+	respType, _, _, err := readMuxFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // has a decoder and vice versa, the two sides read and write the same
 // multiset of field widths, straight-line pairs keep their field order
 // aligned, and fixed-offset decoders only touch bytes a length guard
-// has proven present — the back-compat discipline that let the stats
-// record grow 40 → 48 → 72 → 80 bytes without breaking old peers.
+// has proven present, so a short or hostile frame is rejected rather
+// than misparsed.
 var CodecPair = &Analyzer{
 	Name: "codecpair",
 	Doc:  "checks encode/decode pairs for existence, field-width symmetry, order, and length guards",

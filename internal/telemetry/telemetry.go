@@ -1,7 +1,7 @@
 // Package telemetry is the cluster's stdlib-only observability layer:
 // sharded counters and fixed-bucket latency histograms with lock-free
 // record paths, a sampled tracing system whose 17-byte context rides
-// the wire protocol as a back-compatible trailer, and an HTTP ops
+// the wire protocol as a request suffix or trailer, and an HTTP ops
 // surface (Prometheus-text /metrics, /debug/traces, pprof) every
 // dynasore-node can expose.
 //

@@ -37,8 +37,8 @@ func (tc TraceContext) Sampled() bool { return tc.Flags&FlagSampled != 0 }
 func (tc TraceContext) String() string { return fmt.Sprintf("%016x", tc.TraceID) }
 
 // AppendTraceContext appends the 17-byte wire encoding of tc to dst.
-// The layout is the trailer protocol v3 suffixes onto read/write
-// frames and v1 server/peer frames tolerate at their tails.
+// The layout is the mandatory suffix of client read/write bodies and the
+// optional trailer of the bodies brokers send to servers and peers.
 func AppendTraceContext(dst []byte, tc TraceContext) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, tc.TraceID)
 	dst = binary.BigEndian.AppendUint64(dst, tc.SpanID)

@@ -16,12 +16,13 @@ import (
 // connection-level failure before the cluster client retries it.
 const endpointCooldown = time.Second
 
-// ClusterClient is the multi-endpoint network backend of Store: it talks
-// wire protocol v2 to every broker of a multi-broker cluster, spreading
-// reads round-robin across them, pinning each user's writes to a stable
-// broker (the cluster-side write proxy of §3.1, which also keeps one
-// broker sequencing each user's events), and failing over to the next
-// broker when one dies. Use DialCluster to create one.
+// ClusterClient is the network backend of Store: it multiplexes
+// concurrent requests over a small connection pool to every broker it was
+// given, spreading reads round-robin across them, pinning each user's
+// writes to a stable broker (the cluster-side write proxy of §3.1, which
+// also keeps one broker sequencing each user's events), and failing over
+// to the next broker when one dies. Large multi-user reads are split into
+// concurrent batches. Use Dial for one broker, DialCluster for several.
 type ClusterClient struct {
 	endpoints []*endpoint
 	next      atomic.Uint64
@@ -48,28 +49,43 @@ type ClusterClient struct {
 	leasePending map[uint32]struct{}
 }
 
+// Client is the name single-broker callers know the network client by.
+type Client = ClusterClient
+
 var _ Store = (*ClusterClient)(nil)
 
-// endpoint is one broker address with its lazily dialed v2 client and a
+// endpoint is one broker address with its lazily dialed client and a
 // cooldown after connection failures. The mutex is never held across a
 // dial: a slow or blackholed broker must not block the requests that
 // round-robin onto this endpoint — they see "dial in progress" and fail
 // over to the next broker immediately.
 type endpoint struct {
 	addr string
+	// alone marks the only endpoint of its client. With no broker to fail
+	// over to, it keeps its client after a transport error — the client's
+	// connections redial on the next request — instead of cooling down.
+	alone bool
 
 	mu        sync.Mutex
-	c         *cluster.ClientV2
+	c         *cluster.Client
 	dialing   bool
 	closed    bool
 	downUntil time.Time
+}
+
+// Dial connects to one broker (as started by ListenBroker, Open, or the
+// dynasore-node command). It is DialCluster with a single address: the
+// broker must be reachable now, and after a connection breaks the next
+// request redials it.
+func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
+	return DialCluster(ctx, []string{addr}, opts...)
 }
 
 // DialCluster connects to a multi-broker cluster (brokers started with
 // matching BrokerConfig.Peers, or any set of brokers sharing cache servers
 // and placement state). At least one broker must be reachable; the rest
 // are dialed lazily and retried after failures, so brokers may come and go
-// while the client lives. DialOptions apply as in Dial.
+// while the client lives.
 func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*ClusterClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("dynasore: DialCluster needs at least one broker address")
@@ -84,7 +100,7 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 		c.leasePending = make(map[uint32]struct{})
 	}
 	for _, addr := range addrs {
-		c.endpoints = append(c.endpoints, &endpoint{addr: addr})
+		c.endpoints = append(c.endpoints, &endpoint{addr: addr, alone: len(addrs) == 1})
 	}
 	// Eager dials run concurrently: one blackholed broker must not delay
 	// connecting to the reachable ones.
@@ -117,7 +133,7 @@ func DialCluster(ctx context.Context, addrs []string, opts ...DialOption) (*Clus
 // in cooldown after a recent failure, or with a dial already in flight, is
 // reported unreachable without blocking — callers fail over instead of
 // queueing behind a slow dial.
-func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.ClientV2, error) {
+func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.Client, error) {
 	e.mu.Lock()
 	if e.c != nil {
 		c := e.c
@@ -135,7 +151,7 @@ func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.ClientV2,
 	e.dialing = true
 	e.mu.Unlock()
 
-	c, err := cluster.DialV2(ctx, e.addr, poolSize)
+	c, err := cluster.DialClient(ctx, e.addr, poolSize)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -154,8 +170,11 @@ func (e *endpoint) client(ctx context.Context, poolSize int) (*cluster.ClientV2,
 }
 
 // fail drops the endpoint's connection after a transport error and starts
-// its cooldown.
+// its cooldown; a lone endpoint keeps both.
 func (e *endpoint) fail() {
+	if e.alone {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.c != nil {
@@ -174,7 +193,7 @@ func failover(err error) bool {
 
 // try runs op against up to len(endpoints) brokers, starting at start and
 // failing over on transport errors.
-func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.ClientV2) error) error {
+func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Client) error) error {
 	if c.closed.Load() {
 		return errors.New("dynasore: cluster client is closed")
 	}
@@ -204,7 +223,7 @@ func (c *ClusterClient) try(ctx context.Context, start int, op func(*cluster.Cli
 func (c *ClusterClient) readChunk(ctx context.Context, targets []uint32) ([]View, error) {
 	var out []View
 	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		views, err := cl.Read(ctx, targets)
 		if err != nil {
 			return err
@@ -223,9 +242,6 @@ func (c *ClusterClient) readChunk(ctx context.Context, targets []uint32) ([]View
 // polling, and a transient refresh failure heals on the next request
 // rather than waiting for another membership change.
 func (c *ClusterClient) noteEpoch(e uint64) {
-	if e == 0 {
-		return // pre-membership broker: no epochs on the wire
-	}
 	if c.direct != nil {
 		// A newer epoch implicitly invalidates every direct-read lease
 		// minted below it.
@@ -301,7 +317,7 @@ func (c *ClusterClient) leaseAsync(user uint32) {
 		start := int(c.next.Add(1)) % len(c.endpoints)
 		// Failure is harmless: reads keep working through the broker, and
 		// the next miss re-arms the request.
-		_ = c.try(ctx, start, func(cl *cluster.ClientV2) error {
+		_ = c.try(ctx, start, func(cl *cluster.Client) error {
 			l, err := cl.Lease(ctx, user)
 			if err != nil {
 				return err
@@ -331,29 +347,16 @@ func (c *ClusterClient) Epoch() uint64 { return c.epoch.Load() }
 // Membership fetches the current cache-server set through any reachable
 // broker and updates the cached snapshot.
 func (c *ClusterClient) Membership(ctx context.Context) (Membership, error) {
-	var out Membership
-	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
-		info, err := cl.Membership(ctx)
-		if err != nil {
-			return err
-		}
-		out = fromClusterMembership(info)
-		return nil
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
+		return cl.Membership(ctx)
 	})
-	if err == nil {
-		if cur := c.memb.Load(); cur == nil || out.Epoch > cur.Epoch {
-			c.memb.Store(&out)
-		}
-	}
-	return out, err
 }
 
 // AddServer admits a new cache server into the cluster through any
 // reachable broker (forwarded to the leader) and returns the new
 // membership.
 func (c *ClusterClient) AddServer(ctx context.Context, addr string, pos Position, capacity int) (Membership, error) {
-	return c.adminOp(ctx, func(cl *cluster.ClientV2) (cluster.MembershipInfo, error) {
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
 		return cl.AddServer(ctx, membership.ServerInfo{
 			Addr: addr, Zone: pos.Zone, Rack: pos.Rack, Capacity: capacity,
 		})
@@ -362,24 +365,24 @@ func (c *ClusterClient) AddServer(ctx context.Context, addr string, pos Position
 
 // DrainServer starts decommissioning the cache server at addr.
 func (c *ClusterClient) DrainServer(ctx context.Context, addr string) (Membership, error) {
-	return c.adminOp(ctx, func(cl *cluster.ClientV2) (cluster.MembershipInfo, error) {
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
 		return cl.DrainServer(ctx, addr)
 	})
 }
 
 // RemoveServer retires the cache server at addr from the cluster.
 func (c *ClusterClient) RemoveServer(ctx context.Context, addr string) (Membership, error) {
-	return c.adminOp(ctx, func(cl *cluster.ClientV2) (cluster.MembershipInfo, error) {
+	return c.adminOp(ctx, func(cl *cluster.Client) (cluster.MembershipInfo, error) {
 		return cl.RemoveServer(ctx, addr)
 	})
 }
 
 var _ Admin = (*ClusterClient)(nil)
 
-func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.ClientV2) (cluster.MembershipInfo, error)) (Membership, error) {
+func (c *ClusterClient) adminOp(ctx context.Context, op func(*cluster.Client) (cluster.MembershipInfo, error)) (Membership, error) {
 	var out Membership
 	start := int(c.next.Add(1)) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		info, err := op(cl)
 		if err != nil {
 			return err
@@ -480,7 +483,7 @@ func (c *ClusterClient) brokerRead(ctx context.Context, targets []uint32) ([]Vie
 func (c *ClusterClient) Write(ctx context.Context, user uint32, payload []byte) (uint64, error) {
 	var seq uint64
 	start := int(user*2654435761>>16) % len(c.endpoints)
-	err := c.try(ctx, start, func(cl *cluster.ClientV2) error {
+	err := c.try(ctx, start, func(cl *cluster.Client) error {
 		var err error
 		seq, err = cl.Write(ctx, user, payload)
 		if err == nil {

@@ -250,3 +250,59 @@ func TestMultiBrokerLeaderVisibleThroughPublicAPI(t *testing.T) {
 	}
 	t.Fatalf("replica sets did not converge: %v / %v", brokers[0].ReplicaSet(hot), brokers[2].ReplicaSet(hot))
 }
+
+// TestDialRedialsRestartedBroker pins the single-address reconnect
+// behaviour: with no other broker to fail over to, the first request
+// after the broker restarts redials it instead of sitting out
+// endpointCooldown.
+func TestDialRedialsRestartedBroker(t *testing.T) {
+	ctx := context.Background()
+	s, err := ListenCacheServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	cfg := BrokerConfig{
+		Addr:             "127.0.0.1:0",
+		CacheServerAddrs: []string{s.Addr()},
+		DataDir:          t.TempDir(),
+		Preferred:        -1,
+	}
+	b, err := ListenBroker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(ctx, b.Addr(), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Write(ctx, 1, []byte("before restart")); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Addr = b.Addr()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A request against the dead broker fails — the failure that used to
+	// put the endpoint into cooldown.
+	if _, err := c.Read(ctx, []uint32{1}); err == nil {
+		t.Fatal("read succeeded with the broker down")
+	}
+	b2, err := ListenBroker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b2.Close() })
+	start := time.Now()
+	views, err := c.Read(ctx, []uint32{1})
+	if err != nil {
+		t.Fatalf("first read after restart: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= endpointCooldown {
+		t.Errorf("first read after restart took %v, want well under the %v cooldown", elapsed, endpointCooldown)
+	}
+	if len(views) != 1 || len(views[0].Events) != 1 || string(views[0].Events[0]) != "before restart" {
+		t.Errorf("view after restart = %+v", views)
+	}
+}

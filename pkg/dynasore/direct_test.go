@@ -11,14 +11,14 @@ import (
 	"dynasore/pkg/dynasore"
 )
 
-// TestDirectReadsBasic exercises the fast path on a quiet cluster: the
-// first read of a user goes through the broker and leases it, later reads
-// go straight to the cache servers, and the results stay identical to the
-// broker path's.
+// TestDirectReadsBasic exercises the fast path on a quiet cluster through
+// a single-broker Dial: the first read of a user goes through the broker
+// and leases it, later reads go straight to the cache servers, and the
+// results stay identical to the broker path's.
 func TestDirectReadsBasic(t *testing.T) {
 	ctx := context.Background()
 	e := openEngine(t, dynasore.EngineConfig{CacheServers: 3, Preferred: 0})
-	c, err := dynasore.DialCluster(ctx, []string{e.Addr()}, dynasore.WithDirectReads(0))
+	c, err := dynasore.Dial(ctx, e.Addr(), dynasore.WithDirectReads(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,25 +2,23 @@
 // paper's tiny Read(u, L) / Write(u) interface (§3.1) behind one Store
 // facade with pluggable backends.
 //
-// Three backends implement Store:
+// Two backends implement Store:
 //
 //   - Engine (see Open) runs a whole cluster — cache servers, a broker, and
 //     its WAL-backed persistent store — inside the calling process, for
 //     embedding and tests.
-//   - Client (see Dial) talks to a remote broker over wire protocol v2: a
-//     versioned handshake plus per-request IDs let many requests multiplex
-//     concurrently over each pooled connection, instead of the one
-//     serialized request per connection of the legacy v1 client.
-//   - ClusterClient (see DialCluster) talks to every broker of a
-//     multi-broker cluster: reads round-robin across brokers, each user's
+//   - ClusterClient (see Dial for one broker, DialCluster for several;
+//     Client is another name for it) talks to brokers over TCP:
+//     per-request IDs let many requests multiplex concurrently over each
+//     pooled connection, reads round-robin across brokers, each user's
 //     writes stick to one broker, and requests fail over when a broker
-//     dies.
+//     dies. WithDirectReads lets it read hot views straight from the
+//     cache servers.
 //
 // Server-side nodes for standalone deployments are started with
-// ListenCacheServer and ListenBroker; both serve v1 and v2 clients. A
-// multi-broker cluster — the paper's one-broker-per-front-end-cluster
-// deployment — is a set of ListenBroker nodes given the same Peers list:
-// they share the cache servers and placement state, elect the
+// ListenCacheServer and ListenBroker. A multi-broker cluster — the
+// paper's one-broker-per-front-end-cluster deployment — is a set of
+// ListenBroker nodes given the same Peers list: they share the cache servers and placement state, elect the
 // smallest-position broker to run the placement policy over the whole
 // cluster's traffic, and replicate every durable write between their
 // write-ahead logs (or share one in-process store, see OpenStore).
