@@ -151,10 +151,7 @@ func run(cfg cliConfig, args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("epoch=%d reads=%d writes=%d replicated=%d evicted=%d migrated=%d misses=%d checkpoints=%d compacted=%d catchup=%d leases=%d direct=%d directstale=%d\n",
-			st.Epoch, st.Reads, st.Writes, st.Replicated, st.Evicted, st.Migrated, st.Misses,
-			st.Checkpoints, st.CompactedSegments, st.CatchupRecords,
-			st.LeaseGrants, st.DirectReads, st.DirectStale)
+		fmt.Println(st)
 		return nil
 	case "server":
 		if len(args) < 2 {

@@ -71,6 +71,7 @@ import (
 	"syscall"
 	"time"
 
+	"dynasore/internal/cluster"
 	"dynasore/internal/promtext"
 	"dynasore/internal/telemetry"
 	"dynasore/pkg/dynasore"
@@ -154,22 +155,12 @@ func serveOps(addr string, extra ...func(*strings.Builder)) (func(), error) {
 	}, nil
 }
 
-// brokerOpsRenderer appends the broker's lifetime counters to the ops
-// /metrics page, alongside the process-wide histograms.
+// brokerOpsRenderer appends the broker's lifetime counters and its
+// membership epoch to the ops /metrics page, alongside the process-wide
+// histograms.
 func brokerOpsRenderer(b *dynasore.Broker) func(*strings.Builder) {
 	return func(sb *strings.Builder) {
-		st := b.Stats()
-		const ops = "dynasore_broker_ops_total"
-		promtext.WriteHeader(sb, ops, "counter", "Broker lifetime operation counts by kind.")
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "read"), st.Reads)
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "write"), st.Writes)
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "replicate"), st.Replicated)
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "evict"), st.Evicted)
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "migrate"), st.Migrated)
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "miss"), st.Misses)
-		promtext.WriteInt(sb, ops, promtext.Labels("op", "lease_grant"), st.LeaseGrants)
-		promtext.WriteHeader(sb, "dynasore_membership_epoch", "gauge", "Current membership epoch of this broker.")
-		promtext.WriteUint(sb, "dynasore_membership_epoch", "", st.Epoch)
+		cluster.WriteMetrics(sb, nil, []dynasore.Stats{b.Stats()})
 	}
 }
 

@@ -127,7 +127,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("broker stats: reads=%d writes=%d replicated=%d evicted=%d migrated=%d misses=%d\n",
-		st.Reads, st.Writes, st.Replicated, st.Evicted, st.Migrated, st.Misses)
+	fmt.Println("broker stats:", st)
 	return nil
 }

@@ -1826,9 +1826,10 @@ func (b *Broker) readTraced(targets []uint32, tc telemetry.TraceContext) ([]View
 }
 
 // maintainLoop periodically runs the shared policy's maintenance pass, the
-// live-system analogue of the paper's hourly storage management (§3.2).
-// Only the elected leader maintains — followers' thresholds and floors are
-// never consulted because they do not evaluate the policy.
+// live-system analogue of the paper's hourly storage management (§3.2),
+// with drain progress riding the same tick (see MaintainNow). Only the
+// elected leader maintains — followers' thresholds and floors are never
+// consulted because they do not evaluate the policy.
 func (b *Broker) maintainLoop() {
 	defer b.loops.Done()
 	ticker := time.NewTicker(b.cfg.PolicyEvery)
@@ -1836,15 +1837,7 @@ func (b *Broker) maintainLoop() {
 	for {
 		select {
 		case <-ticker.C:
-			if b.IsLeader() {
-				now := time.Now().Unix()
-				b.maintainOnce(now)
-				// Elastic-membership upkeep rides the same tick: draining
-				// servers shed replicas every pass until empty.
-				b.rebalanceMu.Lock()
-				b.drainOnce(now)
-				b.rebalanceMu.Unlock()
-			}
+			b.MaintainNow()
 		case <-b.stop:
 			return
 		}
@@ -1942,30 +1935,9 @@ func (b *Broker) ReplicaSet(user uint32) []int {
 	return append([]int(nil), meta.order...)
 }
 
-// BrokerStats summarizes broker activity.
-type BrokerStats struct {
-	Reads      int64
-	Writes     int64
-	Replicated int64
-	Evicted    int64
-	Migrated   int64
-	Misses     int64
-	// Checkpoints and CompactedSegments count the durability subsystem's
-	// snapshots and the WAL segments compaction deleted.
-	Checkpoints       int64
-	CompactedSegments int64
-	// CatchupRecords counts WAL records this broker recovered from peers
-	// via the opLogCursors/opLogPull catch-up protocol.
-	CatchupRecords int64
-	// Epoch is the broker's current membership epoch.
-	Epoch uint64
-	// LeaseGrants counts direct-read leases this broker issued.
-	LeaseGrants int64
-}
-
 // Stats returns a snapshot of the broker's counters.
-func (b *Broker) Stats() BrokerStats {
-	st := BrokerStats{
+func (b *Broker) Stats() Stats {
+	st := Stats{
 		Reads:          b.reads.Load(),
 		Writes:         b.writes.Load(),
 		Replicated:     b.replicated.Load(),
@@ -2015,7 +1987,7 @@ func (b *Broker) handle(msgType uint8, body []byte) (uint8, []byte) {
 		return b.handleWrite(body)
 	case opBrokerStats:
 		start := time.Now()
-		resp := appendBrokerStats(nil, b.Stats())
+		resp := appendStats(nil, b.Stats())
 		b.statsHist.Observe(time.Since(start))
 		return respStats, resp
 	case opLeaseGet:

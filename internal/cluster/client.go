@@ -427,18 +427,18 @@ func (c *Client) adminOp(ctx context.Context, op uint8, body []byte) (Membership
 }
 
 // Stats fetches the broker's counters.
-func (c *Client) Stats(ctx context.Context) (BrokerStats, error) {
+func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	respType, body, err := c.do(ctx, opBrokerStats, nil)
 	if err != nil {
-		return BrokerStats{}, err
+		return Stats{}, err
 	}
 	switch respType {
 	case respStats:
-		return decodeBrokerStats(body)
+		return decodeStats(body)
 	case respError:
-		return BrokerStats{}, asRemoteError(body)
+		return Stats{}, asRemoteError(body)
 	default:
-		return BrokerStats{}, ErrBadFrame
+		return Stats{}, ErrBadFrame
 	}
 }
 

@@ -47,7 +47,7 @@ func (c testClient) Read(targets []uint32) ([]View, error) {
 	return c.Client.Read(context.Background(), targets)
 }
 
-func (c testClient) Stats() (BrokerStats, error) {
+func (c testClient) Stats() (Stats, error) {
 	return c.Client.Stats(context.Background())
 }
 
@@ -376,25 +376,6 @@ func TestConcurrentClients(t *testing.T) {
 	st := b.Stats()
 	if st.Writes != workers*opsEach {
 		t.Errorf("writes = %d, want %d", st.Writes, workers*opsEach)
-	}
-}
-
-func TestServerStats(t *testing.T) {
-	_, servers, c := testCluster(t, 1, nil)
-	if _, err := c.Write(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read([]uint32{1}); err != nil {
-		t.Fatal(err)
-	}
-	sc := newServerConn(servers[0].Addr())
-	defer sc.close()
-	st, err := sc.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Views != 1 || st.Puts == 0 || st.Hits == 0 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -42,7 +42,7 @@ const (
 	opGetView uint8 = iota + 1
 	opPutView
 	opDeleteView
-	opServerStats
+	_ // retired cache-server stats op; the slot keeps later values stable
 	// Client <-> broker.
 	opRead
 	opWrite
@@ -989,74 +989,29 @@ func decodePutMeta(b []byte) (epoch, placement uint64, rest []byte, err error) {
 	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]), b[16:], nil
 }
 
-// brokerStatsLen is the fixed size of a respStats body from a broker.
-const brokerStatsLen = 11 * 8
+// statsLen is the fixed size of an opBrokerStats response body: every
+// counter of statCounters, in table order, then the epoch.
+const statsLen = (len(statCounters) + 1) * 8
 
-// appendBrokerStats encodes the broker's respStats body: eleven 8-byte
-// counters in wire order.
-func appendBrokerStats(b []byte, st BrokerStats) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Reads))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Writes))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Replicated))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Evicted))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Misses))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Migrated))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Checkpoints))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.CompactedSegments))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.CatchupRecords))
-	b = binary.LittleEndian.AppendUint64(b, st.Epoch)
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.LeaseGrants))
-	return b
-}
-
-// decodeBrokerStats parses a broker's respStats body.
-func decodeBrokerStats(body []byte) (BrokerStats, error) {
-	if len(body) != brokerStatsLen {
-		return BrokerStats{}, ErrBadFrame
+// appendStats encodes a broker's respStats body.
+func appendStats(b []byte, st Stats) []byte {
+	for _, c := range statCounters {
+		b = binary.LittleEndian.AppendUint64(b, uint64(*c.field(&st)))
 	}
-	return BrokerStats{
-		Reads:             int64(binary.LittleEndian.Uint64(body[0:8])),
-		Writes:            int64(binary.LittleEndian.Uint64(body[8:16])),
-		Replicated:        int64(binary.LittleEndian.Uint64(body[16:24])),
-		Evicted:           int64(binary.LittleEndian.Uint64(body[24:32])),
-		Misses:            int64(binary.LittleEndian.Uint64(body[32:40])),
-		Migrated:          int64(binary.LittleEndian.Uint64(body[40:48])),
-		Checkpoints:       int64(binary.LittleEndian.Uint64(body[48:56])),
-		CompactedSegments: int64(binary.LittleEndian.Uint64(body[56:64])),
-		CatchupRecords:    int64(binary.LittleEndian.Uint64(body[64:72])),
-		Epoch:             binary.LittleEndian.Uint64(body[72:80]),
-		LeaseGrants:       int64(binary.LittleEndian.Uint64(body[80:88])),
-	}, nil
+	return binary.LittleEndian.AppendUint64(b, st.Epoch)
 }
 
-// serverStatsLen is the fixed size of a respStats body from a cache
-// server.
-const serverStatsLen = 4 + 5*8
-
-// appendServerStats encodes a cache server's respStats body:
-// uint32(views) | hits | misses | puts | directReads | directStale.
-func appendServerStats(b []byte, st ServerStats) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(st.Views))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Hits))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Misses))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.Puts))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.DirectReads))
-	return binary.LittleEndian.AppendUint64(b, uint64(st.DirectStale))
-}
-
-// decodeServerStats parses a cache server's respStats body.
-func decodeServerStats(body []byte) (ServerStats, error) {
-	if len(body) != serverStatsLen {
-		return ServerStats{}, ErrBadFrame
+// decodeStats parses a broker's respStats body.
+func decodeStats(body []byte) (Stats, error) {
+	var st Stats
+	if len(body) != statsLen {
+		return st, ErrBadFrame
 	}
-	return ServerStats{
-		Views:       int(binary.LittleEndian.Uint32(body[0:4])),
-		Hits:        int64(binary.LittleEndian.Uint64(body[4:12])),
-		Misses:      int64(binary.LittleEndian.Uint64(body[12:20])),
-		Puts:        int64(binary.LittleEndian.Uint64(body[20:28])),
-		DirectReads: int64(binary.LittleEndian.Uint64(body[28:36])),
-		DirectStale: int64(binary.LittleEndian.Uint64(body[36:44])),
-	}, nil
+	for i, c := range statCounters {
+		*c.field(&st) = int64(binary.LittleEndian.Uint64(body[i*8:]))
+	}
+	st.Epoch = binary.LittleEndian.Uint64(body[statsLen-8:])
+	return st, nil
 }
 
 // errorBody builds a respError payload.

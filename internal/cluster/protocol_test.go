@@ -594,16 +594,19 @@ func TestLogRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsRoundTrip pushes both respStats bodies through their codecs.
+// TestStatsRoundTrip pushes a Stats with a distinct value in every field
+// through the respStats codec: every broker counter and the epoch come
+// back; the client-side direct-read counts are not carried.
 func TestStatsRoundTrip(t *testing.T) {
-	bst := BrokerStats{Reads: 1, Writes: 2, Replicated: 3, Evicted: 4, Misses: 5, Migrated: 6,
-		Checkpoints: 7, CompactedSegments: 8, CatchupRecords: 9, Epoch: 10, LeaseGrants: 11}
-	if got, err := decodeBrokerStats(appendBrokerStats(nil, bst)); err != nil || got != bst {
-		t.Errorf("broker stats = %+v, %v, want %+v", got, err, bst)
+	st := distinctStats(1)
+	want := st
+	want.DirectReads, want.DirectStale = 0, 0
+	body := appendStats(nil, st)
+	if len(body) != 88 {
+		t.Errorf("stats body = %d bytes, want 88 (ten counters and the epoch)", len(body))
 	}
-	sst := ServerStats{Views: 1, Hits: 2, Misses: 3, Puts: 4, DirectReads: 5, DirectStale: 6}
-	if got, err := decodeServerStats(appendServerStats(nil, sst)); err != nil || got != sst {
-		t.Errorf("server stats = %+v, %v, want %+v", got, err, sst)
+	if got, err := decodeStats(body); err != nil || got != want {
+		t.Errorf("stats = %#v, %v, want %#v", got, err, want)
 	}
 }
 
@@ -621,12 +624,8 @@ func TestTruncatedBodiesRejected(t *testing.T) {
 		minCut int // shortest prefix tried; shorter ones are valid bodies
 		decode func([]byte) error
 	}{
-		{"broker stats", appendBrokerStats(nil, BrokerStats{Reads: 1}), 0, func(b []byte) error {
-			_, err := decodeBrokerStats(b)
-			return err
-		}},
-		{"server stats", appendServerStats(nil, ServerStats{Views: 1}), 0, func(b []byte) error {
-			_, err := decodeServerStats(b)
+		{"broker stats", appendStats(nil, distinctStats(1)), 0, func(b []byte) error {
+			_, err := decodeStats(b)
 			return err
 		}},
 		{"put meta", appendPutMeta(nil, 1, 2), 0, func(b []byte) error {

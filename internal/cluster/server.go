@@ -48,18 +48,12 @@ type Server struct {
 	active map[net.Conn]struct{}
 	closed atomic.Bool
 
-	hits   atomic.Int64
-	misses atomic.Int64
-	puts   atomic.Int64
-
 	// epoch is the highest membership epoch this server has learned — from
 	// broker epoch pushes and from put metadata trailers. Zero (no broker
 	// contact yet, e.g. right after a restart) fences every direct read:
 	// the server cannot prove any lease current, so it stale-routes until
 	// a broker teaches it the epoch.
-	epoch       atomic.Uint64
-	directReads atomic.Int64
-	directStale atomic.Int64
+	epoch atomic.Uint64
 
 	// tel records per-op latency and hosts the spans sampled requests
 	// leave behind (trace contexts arrive as trailers on get/put bodies).
@@ -184,10 +178,8 @@ func (s *Server) handle(msgType uint8, body []byte) (uint8, []byte) {
 		sp.End()
 		s.getHist.Observe(time.Since(start))
 		if !ok {
-			s.misses.Add(1)
 			return respMiss, nil
 		}
-		s.hits.Add(1)
 		return respView, encodeView(nil, v.View)
 	case opPutView:
 		if len(body) < 4 {
@@ -215,7 +207,6 @@ func (s *Server) handle(msgType uint8, body []byte) (uint8, []byte) {
 		s.install(user, v, placement)
 		sp.Stage("install")
 		sp.End()
-		s.puts.Add(1)
 		s.putHist.Observe(time.Since(start))
 		return respOK, nil
 	case opDirectGet:
@@ -231,22 +222,18 @@ func (s *Server) handle(msgType uint8, body []byte) (uint8, []byte) {
 			// not learned its epoch yet) or the client's membership view
 			// diverged from the server's — fence rather than risk a read
 			// against a superseded placement.
-			s.directStale.Add(1)
 			return respStaleRoute, appendStaleRoute(nil, se, 0)
 		}
 		cv, ok := s.lookup(user)
 		if !ok {
-			s.directStale.Add(1)
 			return respNotHere, nil
 		}
 		if cv.placement > placement {
 			// The view was re-placed after the lease was minted; the
 			// client's replica set may name servers the broker already
 			// deleted from.
-			s.directStale.Add(1)
 			return respStaleRoute, appendStaleRoute(nil, se, cv.placement)
 		}
-		s.directReads.Add(1)
 		return respView, encodeDirectView(cv.View, se)
 	case opEpochPush:
 		if len(body) < 8 {
@@ -261,8 +248,6 @@ func (s *Server) handle(msgType uint8, body []byte) (uint8, []byte) {
 		user := binary.LittleEndian.Uint32(body[0:4])
 		s.drop(user)
 		return respOK, nil
-	case opServerStats:
-		return respStats, appendServerStats(nil, s.Stats())
 	default:
 		return respError, errorBody("unknown op")
 	}
@@ -299,32 +284,6 @@ func (s *Server) Close() error {
 // Epoch returns the highest membership epoch the server has learned from
 // brokers (0 until the first put or epoch push reaches it).
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
-// Stats returns a snapshot of the server's counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Views:       s.NumViews(),
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Puts:        s.puts.Load(),
-		DirectReads: s.directReads.Load(),
-		DirectStale: s.directStale.Load(),
-	}
-}
-
-// ServerStats summarizes one cache server.
-type ServerStats struct {
-	Views  int
-	Hits   int64
-	Misses int64
-	Puts   int64
-	// DirectReads counts views served straight to clients over the
-	// direct-read fast path; DirectStale counts direct reads the server
-	// refused (stale epoch, stale placement version, or view not here) —
-	// each refusal sent the client back to the broker.
-	DirectReads int64
-	DirectStale int64
-}
 
 // serverPoolSize is how many connections a broker keeps per cache server,
 // so concurrent requests fan out to the backend in parallel.
@@ -515,16 +474,4 @@ func (c *serverConn) roundTripOK(msgType uint8, body []byte) error {
 		return ErrBadFrame
 	}
 	return nil
-}
-
-// stats fetches server statistics.
-func (c *serverConn) stats() (ServerStats, error) {
-	respType, body, err := c.roundTrip(opServerStats, nil)
-	if err != nil {
-		return ServerStats{}, err
-	}
-	if respType != respStats {
-		return ServerStats{}, ErrBadFrame
-	}
-	return decodeServerStats(body)
 }

@@ -20,7 +20,7 @@ import (
 // startEdge boots a live multi-broker cluster (the scenario rig), fronts
 // it with a gateway over a direct-read cluster client, and serves it from
 // an httptest server — the whole deployment in-process.
-func startEdge(t *testing.T) (*httptest.Server, *gateway.Client) {
+func startEdge(t *testing.T) (*scenario.Rig, *httptest.Server, *gateway.Client) {
 	t.Helper()
 	rig, err := scenario.NewRig(2, 3)
 	if err != nil {
@@ -45,14 +45,14 @@ func startEdge(t *testing.T) (*httptest.Server, *gateway.Client) {
 	}
 	srv := httptest.NewServer(gw)
 	t.Cleanup(srv.Close)
-	return srv, gateway.NewClient(srv.URL, "e2e-token")
+	return rig, srv, gateway.NewClient(srv.URL, "e2e-token")
 }
 
 func TestGatewayEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a multi-broker cluster")
 	}
-	srv, gc := startEdge(t)
+	_, srv, gc := startEdge(t)
 	ctx := context.Background()
 
 	// Write through the edge, read back through the edge.
@@ -129,16 +129,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 
 	// The scrape shows per-route histograms, the membership epoch, and the
 	// store reachable — without credentials.
-	resp, err = srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scrape, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics = %d", resp.StatusCode)
-	}
-	body := string(scrape)
+	body := scrape(t, srv)
 	for _, want := range []string{
 		`dsgate_http_requests_total{route="/v1/feed/{user}",method="POST",code="200"} 5`,
 		`dsgate_http_request_duration_seconds_bucket{route="/v1/feed",le="+Inf"} 1`,
@@ -168,6 +159,61 @@ func TestGatewayEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s = %d (%v)", path, resp.StatusCode, probe)
 		}
+	}
+}
+
+// scrape fetches one /metrics page.
+func scrape(t *testing.T, srv *httptest.Server) string {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics = %d, %v", resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// A scrape renders every broker counter once per broker under its one
+// dynasore_<name>_total name, labelled with the broker's address, and
+// costs each broker exactly one stats round trip.
+func TestGatewayScrapeAttributesCountersPerBroker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a multi-broker cluster")
+	}
+	rig, srv, gc := startEdge(t)
+	if _, err := gc.Write(context.Background(), 7, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	statsCalls := func() []int64 {
+		out := make([]int64, rig.NumBrokers())
+		for i := range out {
+			h := rig.BrokerTelemetry(i).Histogram("dynasore_broker_op_seconds", "Broker op latency by operation.", "op", "stats")
+			out[i] = h.Snapshot().Count
+		}
+		return out
+	}
+	before := statsCalls()
+	body := scrape(t, srv)
+	after := statsCalls()
+	for i, addr := range rig.BrokerAddrs() {
+		if want := fmt.Sprintf("dynasore_writes_total{broker=%q} ", addr); !strings.Contains(body, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+		if d := after[i] - before[i]; d != 1 {
+			t.Errorf("broker %d answered %d stats calls for one scrape, want 1", i, d)
+		}
+	}
+	for _, gone := range []string{"dynasore_broker_ops_total", "dynasore_direct_reads_total", "dynasore_direct_stale_total"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("scrape still renders %s", gone)
+		}
+	}
+	if n := strings.Count(body, "# TYPE dynasore_writes_total counter\n"); n != 1 {
+		t.Errorf("dynasore_writes_total declared %d times, want 1", n)
 	}
 }
 
@@ -216,13 +262,7 @@ func TestGatewayUnreadyWhenClusterDies(t *testing.T) {
 		t.Errorf("readyz with dead cluster = %d, want 503", resp.StatusCode)
 	}
 
-	resp, err = srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scrape, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if !strings.Contains(string(scrape), "dsgate_store_up 0") {
+	if !strings.Contains(scrape(t, srv), "dsgate_store_up 0") {
 		t.Error("scrape with dead cluster missing dsgate_store_up 0")
 	}
 }

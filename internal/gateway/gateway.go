@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"dynasore/internal/cluster"
 	"dynasore/internal/gwconfig"
 	"dynasore/internal/promtext"
 	"dynasore/internal/telemetry"
@@ -215,77 +216,50 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	g.writeJSON(w, r, http.StatusOK, map[string]any{"status": "ready", "epoch": st.Epoch})
 }
 
-// storeCounters maps Stats fields onto dynasore_* Prometheus counter
-// names. Declared once so the rendering loop and the docs table cannot
-// drift apart field by field.
-func storeCounters(st dynasore.Stats) []struct {
-	name, help string
-	value      int64
-} {
-	return []struct {
-		name, help string
-		value      int64
-	}{
-		{"dynasore_reads_total", "Completed Read calls on the broker.", st.Reads},
-		{"dynasore_writes_total", "Completed Write calls on the broker.", st.Writes},
-		{"dynasore_replicated_total", "Replica creations by the placement policy.", st.Replicated},
-		{"dynasore_evicted_total", "Replica evictions by the placement policy.", st.Evicted},
-		{"dynasore_migrated_total", "Replica migrations by the placement policy.", st.Migrated},
-		{"dynasore_misses_total", "Cache misses refilled from the persistent store.", st.Misses},
-		{"dynasore_checkpoints_total", "Snapshots taken of the persistent store.", st.Checkpoints},
-		{"dynasore_compacted_segments_total", "WAL segments deleted after a covering snapshot.", st.CompactedSegments},
-		{"dynasore_catchup_records_total", "WAL records recovered from peers by catch-up.", st.CatchupRecords},
-		{"dynasore_lease_grants_total", "Direct-read leases issued by the broker.", st.LeaseGrants},
-		{"dynasore_direct_reads_total", "Views served client to cache server, bypassing the broker.", st.DirectReads},
-		{"dynasore_direct_stale_total", "Direct-read attempts that fenced back to the broker path.", st.DirectStale},
-	}
-}
-
 // brokerStatser is the optional per-broker stats surface of a store
-// (ClusterClient has it); when present, /metrics attributes op counts to
-// each broker address instead of only the cluster sum.
+// (ClusterClient has it); when present, /metrics attributes every counter
+// to the broker address it came from.
 type brokerStatser interface {
 	StatsPerBroker(ctx context.Context) ([]dynasore.BrokerStats, error)
 }
 
+// storeStats fetches the counters /metrics renders: one snapshot per
+// broker with its address, from a single StatsPerBroker call when the
+// store has one, else the store's own Stats unattributed (brokers nil).
+func (g *Gateway) storeStats(ctx context.Context) (brokers []string, stats []dynasore.Stats, err error) {
+	bs, ok := g.store.(brokerStatser)
+	if !ok {
+		st, err := g.store.Stats(ctx)
+		return nil, []dynasore.Stats{st}, err
+	}
+	per, err := bs.StatsPerBroker(ctx)
+	for _, p := range per {
+		brokers = append(brokers, p.Addr)
+		stats = append(stats, p.Stats)
+	}
+	return brokers, stats, err
+}
+
 // handleMetrics renders the full scrape: the gateway's own series, the
 // process-wide telemetry histograms (client-side op latency, direct-read
-// ladder counters), then the store's counters, per-broker attribution
-// when available, and the membership epoch. A broker outage does not
-// fail the scrape — it shows as dsgate_store_up 0 with the dynasore_*
-// series absent.
+// ladder counters), then the store's counters — per broker when the
+// store can attribute them — and the membership epoch. A broker outage
+// does not fail the scrape — it shows as dsgate_store_up 0 with the
+// dynasore_* series absent.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	g.metrics.writeMetrics(&b)
 	telemetry.Default().WriteMetrics(&b)
 
-	st, err := g.store.Stats(r.Context())
+	brokers, stats, err := g.storeStats(r.Context())
 	up := 0
 	if err == nil {
 		up = 1
 	}
-	fmt.Fprintf(&b, "# HELP dsgate_store_up Whether the broker answered the stats probe.\n")
-	fmt.Fprintf(&b, "# TYPE dsgate_store_up gauge\n")
-	fmt.Fprintf(&b, "dsgate_store_up %d\n", up)
+	promtext.WriteHeader(&b, "dsgate_store_up", "gauge", "Whether the broker answered the stats probe.")
+	promtext.WriteInt(&b, "dsgate_store_up", "", int64(up))
 	if err == nil {
-		for _, c := range storeCounters(st) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-		}
-		if bs, ok := g.store.(brokerStatser); ok {
-			if per, perErr := bs.StatsPerBroker(r.Context()); perErr == nil {
-				promtext.WriteHeader(&b, "dynasore_broker_ops_total",
-					"counter", "Per-broker lifetime operation counts by kind.")
-				for _, p := range per {
-					promtext.WriteInt(&b, "dynasore_broker_ops_total",
-						promtext.Labels("broker", p.Addr, "op", "read"), p.Stats.Reads)
-					promtext.WriteInt(&b, "dynasore_broker_ops_total",
-						promtext.Labels("broker", p.Addr, "op", "write"), p.Stats.Writes)
-				}
-			}
-		}
-		fmt.Fprintf(&b, "# HELP dynasore_membership_epoch Current membership epoch of the cluster.\n")
-		fmt.Fprintf(&b, "# TYPE dynasore_membership_epoch gauge\n")
-		fmt.Fprintf(&b, "dynasore_membership_epoch %d\n", st.Epoch)
+		cluster.WriteMetrics(&b, brokers, stats)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,46 +18,41 @@ type routeKey struct {
 }
 
 // metricSet is the gateway's own telemetry: per-route latency histograms,
-// per-route/method/code request counters, the in-flight gauge, and the
-// middleware counters. Route histograms are pre-registered at mux build
-// time, so the request path never takes the registry lock for them. The
-// histograms live in a private telemetry Node (the gateway is one
-// process of many on an edge box; its route series must not leak into a
-// co-resident node's /metrics), and everything renders through promtext
-// so the exposition format cannot drift from the ops listeners'.
+// per-route/method/code request counters, the middleware counters, and
+// the in-flight gauge. Everything but the gauge is an instrument of a
+// private telemetry Node (the gateway is one process of many on an edge
+// box; its route series must not leak into a co-resident node's
+// /metrics), which renders them through promtext so the exposition
+// format cannot drift from the ops listeners'. Instruments are resolved
+// once — route histograms at mux build time, request counters on a
+// series' first request — so the request path never takes the registry
+// lock.
 type metricSet struct {
-	inFlight    atomic.Int64
-	authReject  atomic.Int64
-	rateLimited atomic.Int64
-	panics      atomic.Int64
-
 	tel *telemetry.Node
 
-	histMu sync.Mutex
-	hists  map[string]*telemetry.Histogram
+	inFlight    atomic.Int64
+	authReject  *telemetry.Counter
+	rateLimited *telemetry.Counter
+	panics      *telemetry.Counter
 
 	countMu sync.Mutex
-	counts  map[routeKey]*atomic.Int64
+	counts  map[routeKey]*telemetry.Counter
 }
 
 func newMetricSet() *metricSet {
+	tel := telemetry.New()
 	return &metricSet{
-		tel:    telemetry.New(),
-		hists:  make(map[string]*telemetry.Histogram),
-		counts: make(map[routeKey]*atomic.Int64),
+		tel:         tel,
+		authReject:  tel.Counter("dsgate_auth_rejected_total", "Requests rejected by the auth middleware."),
+		rateLimited: tel.Counter("dsgate_rate_limited_total", "Requests rejected by the ratelimit middleware."),
+		panics:      tel.Counter("dsgate_panics_recovered_total", "Handler panics converted to 500s by the recover middleware."),
+		counts:      make(map[routeKey]*telemetry.Counter),
 	}
 }
 
 // histFor returns (registering if needed) the latency histogram of route.
 func (m *metricSet) histFor(route string) *telemetry.Histogram {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	h, ok := m.hists[route]
-	if !ok {
-		h = m.tel.Histogram("dsgate_http_request_duration_seconds", "Request latency by route.", "route", route)
-		m.hists[route] = h
-	}
-	return h
+	return m.tel.Histogram("dsgate_http_request_duration_seconds", "Request latency by route.", "route", route)
 }
 
 // countRequest bumps the requests_total series for one completed request.
@@ -67,11 +61,12 @@ func (m *metricSet) countRequest(route, method string, code int) {
 	m.countMu.Lock()
 	c, ok := m.counts[k]
 	if !ok {
-		c = new(atomic.Int64)
+		c = m.tel.Counter("dsgate_http_requests_total", "Completed requests by route, method, and status code.",
+			"route", route, "method", method, "code", strconv.Itoa(code))
 		m.counts[k] = c
 	}
 	m.countMu.Unlock()
-	c.Add(1)
+	c.Inc()
 }
 
 // writeMetrics renders the gateway-side series in Prometheus text
@@ -79,52 +74,5 @@ func (m *metricSet) countRequest(route, method string, code int) {
 func (m *metricSet) writeMetrics(b *strings.Builder) {
 	promtext.WriteHeader(b, "dsgate_http_in_flight_requests", "gauge", "Requests currently being handled.")
 	promtext.WriteInt(b, "dsgate_http_in_flight_requests", "", m.inFlight.Load())
-
-	promtext.WriteHeader(b, "dsgate_auth_rejected_total", "counter", "Requests rejected by the auth middleware.")
-	promtext.WriteInt(b, "dsgate_auth_rejected_total", "", m.authReject.Load())
-
-	promtext.WriteHeader(b, "dsgate_rate_limited_total", "counter", "Requests rejected by the ratelimit middleware.")
-	promtext.WriteInt(b, "dsgate_rate_limited_total", "", m.rateLimited.Load())
-
-	promtext.WriteHeader(b, "dsgate_panics_recovered_total", "counter", "Handler panics converted to 500s by the recover middleware.")
-	promtext.WriteInt(b, "dsgate_panics_recovered_total", "", m.panics.Load())
-
-	m.countMu.Lock()
-	keys := make([]routeKey, 0, len(m.counts))
-	for k := range m.counts {
-		keys = append(keys, k)
-	}
-	m.countMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		if keys[i].method != keys[j].method {
-			return keys[i].method < keys[j].method
-		}
-		return keys[i].code < keys[j].code
-	})
-	promtext.WriteHeader(b, "dsgate_http_requests_total", "counter", "Completed requests by route, method, and status code.")
-	for _, k := range keys {
-		m.countMu.Lock()
-		c := m.counts[k]
-		m.countMu.Unlock()
-		promtext.WriteInt(b, "dsgate_http_requests_total",
-			promtext.Labels("route", k.route, "method", k.method, "code", strconv.Itoa(k.code)), c.Load())
-	}
-
-	m.histMu.Lock()
-	routes := make([]string, 0, len(m.hists))
-	for r := range m.hists {
-		routes = append(routes, r)
-	}
-	m.histMu.Unlock()
-	sort.Strings(routes)
-	promtext.WriteHeader(b, "dsgate_http_request_duration_seconds", "histogram", "Request latency by route.")
-	for _, route := range routes {
-		m.histMu.Lock()
-		h := m.hists[route]
-		m.histMu.Unlock()
-		promtext.WriteHistogram(b, "dsgate_http_request_duration_seconds", promtext.Labels("route", route), h.Snapshot())
-	}
+	m.tel.WriteMetrics(b)
 }

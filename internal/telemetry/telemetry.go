@@ -122,26 +122,21 @@ func (n *Node) lookup(name, help, labels string, counter bool) *instrument {
 	key := name + "{" + labels + "}"
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if inst, ok := n.byKey[key]; ok {
-		if (inst.counter != nil) == counter {
-			return inst
-		}
-		// A name reused across kinds is a programming error; return a
-		// detached instrument so the caller still gets a working one
-		// rather than a nil deref, and the registry keeps the original.
-		inst = &instrument{name: name, help: help, labels: labels}
-		if counter {
-			inst.counter = &Counter{}
-		} else {
-			inst.hist = newHistogram()
-		}
-		return inst
+	old, found := n.byKey[key]
+	if found && (old.counter != nil) == counter {
+		return old
 	}
 	inst := &instrument{name: name, help: help, labels: labels}
 	if counter {
 		inst.counter = &Counter{}
 	} else {
 		inst.hist = newHistogram()
+	}
+	if found {
+		// A name reused across kinds is a programming error; return a
+		// detached instrument so the caller still gets a working one
+		// rather than a nil deref, and the registry keeps the original.
+		return inst
 	}
 	n.byKey[key] = inst
 	n.insts = append(n.insts, inst)

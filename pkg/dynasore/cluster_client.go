@@ -529,7 +529,7 @@ func (c *ClusterClient) StatsPerBroker(ctx context.Context) ([]BrokerStats, erro
 			lastErr = err
 			continue
 		}
-		out = append(out, BrokerStats{Addr: ep.addr, Stats: fromClusterStats(st)})
+		out = append(out, BrokerStats{Addr: ep.addr, Stats: st})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("dynasore: no broker answered stats: %w", lastErr)
@@ -547,20 +547,7 @@ func (c *ClusterClient) Stats(ctx context.Context) (Stats, error) {
 	}
 	var sum Stats
 	for _, bs := range per {
-		st := bs.Stats
-		sum.Reads += st.Reads
-		sum.Writes += st.Writes
-		sum.Replicated += st.Replicated
-		sum.Evicted += st.Evicted
-		sum.Migrated += st.Migrated
-		sum.Misses += st.Misses
-		sum.Checkpoints += st.Checkpoints
-		sum.CompactedSegments += st.CompactedSegments
-		sum.CatchupRecords += st.CatchupRecords
-		sum.LeaseGrants += st.LeaseGrants
-		if st.Epoch > sum.Epoch {
-			sum.Epoch = st.Epoch
-		}
+		sum.Add(bs.Stats)
 	}
 	if c.direct != nil {
 		// This client's own fast-path activity: views served without the

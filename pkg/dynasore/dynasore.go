@@ -39,41 +39,11 @@ type View struct {
 	Events  [][]byte
 }
 
-// Stats summarizes broker activity.
-type Stats struct {
-	// Reads and Writes count completed API calls.
-	Reads  int64
-	Writes int64
-	// Replicated, Evicted, and Migrated count the placement policy's
-	// replica creations, removals, and migrations (§3.2, Algorithms 2–3).
-	Replicated int64
-	Evicted    int64
-	Migrated   int64
-	// Misses counts cache misses refilled from the persistent store (§3.3).
-	Misses int64
-	// Checkpoints and CompactedSegments count the durability subsystem's
-	// activity: snapshots of the persistent store taken, and WAL segments
-	// deleted because a snapshot fully covered them (zero unless the
-	// broker runs with CheckpointEvery set).
-	Checkpoints       int64
-	CompactedSegments int64
-	// CatchupRecords counts WAL records the broker recovered from its
-	// peers via the per-origin catch-up protocol after missing them —
-	// e.g. while it was down.
-	CatchupRecords int64
-	// LeaseGrants counts direct-read leases the broker issued; DirectReads
-	// and DirectStale count the fast path's outcomes — views served
-	// client → cache server without the broker, and direct attempts that
-	// fenced or failed back to the broker path. For Engine the direct
-	// counters come from its cache servers; for ClusterClient they are the
-	// client's own.
-	LeaseGrants int64
-	DirectReads int64
-	DirectStale int64
-	// Epoch is the broker's current membership epoch: it advances every
-	// time a cache server is added, drained, or removed.
-	Epoch uint64
-}
+// Stats summarizes broker activity: the Reads/Writes counts, the
+// placement policy's replica moves, cache misses, durability activity, and
+// direct-read leases; DirectReads and DirectStale are a direct-reading
+// ClusterClient's own fast path (zero for Engine, which has none).
+type Stats = cluster.Stats
 
 // Store is the DynaSoRe API. Both backends are safe for concurrent use.
 type Store interface {
@@ -99,22 +69,6 @@ func fromClusterViews(vs []cluster.View) []View {
 		out[i] = fromClusterView(v)
 	}
 	return out
-}
-
-func fromClusterStats(st cluster.BrokerStats) Stats {
-	return Stats{
-		Reads:             st.Reads,
-		Writes:            st.Writes,
-		Replicated:        st.Replicated,
-		Evicted:           st.Evicted,
-		Migrated:          st.Migrated,
-		Misses:            st.Misses,
-		Checkpoints:       st.Checkpoints,
-		CompactedSegments: st.CompactedSegments,
-		CatchupRecords:    st.CatchupRecords,
-		LeaseGrants:       st.LeaseGrants,
-		Epoch:             st.Epoch,
-	}
 }
 
 // ServerState is the lifecycle state of one cache-server slot of the

@@ -139,20 +139,13 @@ func (e *Engine) Write(ctx context.Context, user uint32, payload []byte) (uint64
 	return e.broker.Write(user, payload)
 }
 
-// Stats returns a snapshot of the embedded broker's counters, plus the
-// cache servers' direct-read activity (views they served straight to
-// direct-reading clients, and direct attempts they fenced as stale).
+// Stats returns a snapshot of the embedded broker's counters. Engine has
+// no direct-read fast path, so DirectReads and DirectStale stay zero.
 func (e *Engine) Stats(ctx context.Context) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	st := fromClusterStats(e.broker.Stats())
-	for _, s := range e.servers {
-		ss := s.Stats()
-		st.DirectReads += ss.DirectReads
-		st.DirectStale += ss.DirectStale
-	}
-	return st, nil
+	return e.broker.Stats(), nil
 }
 
 // ReplicaCount returns the current replication degree of user's view.

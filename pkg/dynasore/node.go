@@ -219,7 +219,7 @@ func (b *Broker) Leader() int { return b.b.Leader() }
 
 // Stats returns a snapshot of this broker's own counters (one node's,
 // not cluster-summed — compare ClusterClient.Stats).
-func (b *Broker) Stats() Stats { return fromClusterStats(b.b.Stats()) }
+func (b *Broker) Stats() Stats { return b.b.Stats() }
 
 // Close stops the broker, its server and peer connections, and — unless it
 // was handed a shared Store — the persistent store.
